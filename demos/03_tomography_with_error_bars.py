@@ -33,7 +33,8 @@ print(f"counts per setting: min {rec.counts.min():.0f}, "
       f"mean {rec.counts.mean():.0f}, max {rec.counts.max():.0f}")
 
 result = mle_reconstruct(rec)
-print(f"\nMLE converged after {result.iterations} iterations")
+print(f"\nMLE after {result.iterations} iterations: converged = {result.converged}, "
+      f"log-likelihood within {result.gap:.1e} of its maximum")
 print(f"fidelity of the reconstruction with the generating state: "
       f"{fidelity(result.rho, rho):.4f}")
 

@@ -204,12 +204,26 @@ def _point_args(args):
     return p_from_temperature(args.t), args.t
 
 
+def _load_counts(path):
+    try:
+        with open(path) as fh:
+            return CountRecord.from_text(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read count file: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"bad count file {path}: {exc}") from None
+
+
 def _cmd_tomo(args):
     p, t = _point_args(args)
     alpha = parse_alpha(args.alpha)
     rho = thermal_state_model(linear_graph(3), p, alpha)
     if args.load_counts:
-        rec = CountRecord.from_text(open(args.load_counts).read())
+        rec = _load_counts(args.load_counts)
+        if rec.n_qubits != 3:
+            raise ConfigError(
+                f"count file holds {rec.n_qubits}-qubit settings; tomo models the 3-qubit chain"
+            )
     else:
         rec = simulate_counts(rho, standard_settings(3), args.flux, seed=args.seed)
     if args.save_counts:
@@ -221,6 +235,7 @@ def _cmd_tomo(args):
     print(f"counts: {len(rec.counts)} settings, flux = {rec.flux!r}")
     print(f"mle iterations = {result.iterations}, converged = {result.converged}")
     print(f"log_likelihood = {result.log_likelihood!r}")
+    print(f"gap = {result.gap!r} (bound on max log_likelihood - log_likelihood)")
     print(f"fidelity vs model = {fidelity(result.rho, rho)!r}")
     for cut, val in sorted(rep.negativities.items()):
         print(f"negativity {cut}: {val!r}")

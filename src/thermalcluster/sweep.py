@@ -44,7 +44,8 @@ CSV_COLUMNS = (
     "class,avg_fidelity,fid_error,state_fidelity_vs_ideal"
 )
 
-# spacing between per-point seed blocks; must exceed any sane mc_samples
+# spacing between per-point seed blocks; point i uses seeds seed + i * stride
+# up to seed + i * stride + mc_samples, so validate() requires mc_samples < stride
 _SEED_STRIDE = 1_000_003
 
 
@@ -87,6 +88,11 @@ class SweepConfig:
         if self.tomography_enabled:
             if self.mc_samples < 2:
                 raise ConfigError("mc_samples must be >= 2 when tomography is enabled")
+            if self.mc_samples >= _SEED_STRIDE:
+                raise ConfigError(
+                    f"mc_samples must be below {_SEED_STRIDE}, or the seed "
+                    "streams of neighbouring points overlap"
+                )
             if not self.flux > 0:
                 raise ConfigError("flux must be positive when tomography is enabled")
         if self.workers is not None and self.workers < 1:

@@ -72,7 +72,9 @@ def p_from_temperature(t_over_delta):
         return 0.0
     if np.isinf(t):
         return 1.0
-    return float(2.0 / (1.0 + np.exp(1.0 / t)))
+    # e^(-Delta/T) underflows quietly to 0 as T -> 0; e^(Delta/T) would overflow
+    e = np.exp(-1.0 / t)
+    return float(2.0 * e / (1.0 + e))
 
 
 def temperature_from_p(p):

@@ -84,9 +84,26 @@ def test_config_errors_exit_1(capsys):
     assert "error:" in err
 
 
-def test_runtime_failures_exit_2(capsys):
-    assert main(["tomo", "--t", "1.0", "--load-counts", "/nonexistent/counts.txt"]) == 2
-    assert "failure:" in capsys.readouterr().err
+def test_runtime_failures_exit_2(monkeypatch, capsys):
+    def failing_reconstruction(rec):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr("thermalcluster.cli.mle_reconstruct", failing_reconstruction)
+    assert main(["tomo", "--t", "1.0", "--flux", "100"]) == 2
+    assert "failure: LinAlgError" in capsys.readouterr().err
+
+
+def test_count_file_errors_exit_1(tmp_path, capsys):
+    assert main(["tomo", "--t", "1.0", "--load-counts", str(tmp_path / "absent.txt")]) == 1
+    assert "error:" in capsys.readouterr().err
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("# flux = 10.0\nz0,5\nz0z1,3\n")
+    assert main(["tomo", "--t", "1.0", "--load-counts", str(mixed)]) == 1
+    assert "qubits" in capsys.readouterr().err
+    one_qubit = tmp_path / "one_qubit.txt"
+    one_qubit.write_text("# flux = 10.0\nz0,5\nz1,3\nx+,4\ny+,2\n")
+    assert main(["tomo", "--t", "1.0", "--load-counts", str(one_qubit)]) == 1
+    assert "3-qubit" in capsys.readouterr().err
 
 
 def test_spectrum_subcommand(capsys):

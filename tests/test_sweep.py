@@ -9,6 +9,7 @@ from thermalcluster.graphs import linear_graph
 from thermalcluster.sweep import (
     CSV_COLUMNS,
     ConfigError,
+    _SEED_STRIDE,
     SweepConfig,
     emit,
     load_json_points,
@@ -34,6 +35,14 @@ def test_config_field_validation():
         SweepConfig(p_grid=()).validate()
     with pytest.raises(ConfigError, match="mc_samples"):
         SweepConfig(p_grid=(0.5,), tomography_enabled=True, mc_samples=1).validate()
+    # seed streams of neighbouring points would overlap; validated, never run
+    with pytest.raises(ConfigError, match="mc_samples"):
+        SweepConfig(
+            p_grid=(0.5,), tomography_enabled=True, mc_samples=_SEED_STRIDE
+        ).validate()
+    SweepConfig(
+        p_grid=(0.5,), tomography_enabled=True, mc_samples=_SEED_STRIDE - 1
+    ).validate()
     with pytest.raises(ConfigError, match="workers"):
         SweepConfig(p_grid=(0.5,), workers=0).validate()
     with pytest.raises(ConfigError, match="chain"):

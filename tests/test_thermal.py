@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,13 @@ def test_temperature_map_endpoints():
     assert p_from_temperature(np.inf) == 1.0
     assert temperature_from_p(0.0) == 0.0
     assert temperature_from_p(1.0) == np.inf
+
+
+def test_temperature_map_small_temperature_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert p_from_temperature(1e-3) == 0.0
+        assert p_from_temperature(5e-324) == 0.0
 
 
 def test_temperature_map_round_trip():

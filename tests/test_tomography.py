@@ -3,7 +3,7 @@ import pytest
 
 from thermalcluster.graphs import linear_graph
 from thermalcluster.linalg import validate_density_matrix
-from thermalcluster.thermal import thermal_state_model
+from thermalcluster.thermal import p_from_temperature, thermal_state_model
 from thermalcluster.tomography import (
     CountRecord,
     expected_probabilities,
@@ -66,6 +66,10 @@ def test_count_record_validation():
         CountRecord(settings=settings, counts=-np.ones(4), flux=1.0)
     with pytest.raises(ValueError):
         CountRecord(settings=settings, counts=np.ones(4), flux=0.0)
+    with pytest.raises(ValueError, match="qubits"):
+        CountRecord.from_text("# flux = 10.0\nz0,5\nz0z1,3\n")
+    with pytest.raises(ValueError, match="setting"):
+        CountRecord.from_text("# flux = 10.0\n")
 
 
 def test_count_record_text_round_trip():
@@ -155,6 +159,7 @@ def test_mle_improves_likelihood_over_start():
     assert res.log_likelihood > start_ll
     assert res.log_likelihood >= poisson_log_likelihood(rho, rec) - 1e-6
     assert res.method == "MLE" and res.iterations >= 1
+    assert np.isfinite(res.gap) and res.gap >= 0.0
 
 
 def test_mle_all_zero_counts():
@@ -162,6 +167,18 @@ def test_mle_all_zero_counts():
     res = mle_reconstruct(rec)
     assert np.allclose(res.rho, np.eye(2) / 2)
     assert res.converged
+    assert res.gap == 0.0
+
+
+def test_mle_converges_above_linear_inversion_at_high_flux():
+    # a near-pure state at flux 1e6: |log L| ~ 1e8, so a stop on the
+    # absolute step gain never fires and the cap ends short of the maximum
+    rho = thermal_state_model(linear_graph(3), p_from_temperature(0.5), 0.84 * np.pi)
+    rec = simulate_counts(rho, standard_settings(3), 1e6, seed=1000)
+    res = mle_reconstruct(rec)
+    assert res.converged
+    ll_linear = poisson_log_likelihood(linear_inversion(rec).rho, rec)
+    assert poisson_log_likelihood(res.rho, rec) >= ll_linear
 
 
 def test_mle_flags_non_convergence():
