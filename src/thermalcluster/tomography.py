@@ -17,6 +17,16 @@ once per settings tuple and cached: row s of the (S, d*d) matrix P is
 Pi_s flattened, so the probabilities are q = Re(conj(P) vec rho) and the
 gradient of the likelihood is sum_s w_s Pi_s = (w P) reshaped.
 
+Many records on one settings tuple (a sweep's records and their Monte Carlo
+resamples) are solved by a lockstep variant of the same MLE: each round
+projects one trial per unfinished record with a single batched ``eigh``,
+and every record keeps its own step size, momentum and stops. The
+projection, the probability map, the gradient and the step test are shared
+by both solvers and work on one state or a stack. In a stack every
+product is taken per record, never across records, so a record's result
+is the same bit for bit alone or in any batch, and its log-likelihood
+agrees with ``mle_reconstruct``'s within the reported gap.
+
 All randomness flows from explicit integer seeds; nothing reads ambient
 entropy, so every pipeline built on this module is reproducible bit for bit.
 """
@@ -117,7 +127,10 @@ def _linear_maps(settings):
 
 
 def _probabilities(pf, rho):
-    return pf @ np.ascontiguousarray(rho, dtype=complex).reshape(-1).view(np.float64)
+    # q of one state, or of each state in a stack (..., d, d): one product
+    # with pf per state, so no state's q depends on the rest of its stack
+    v = np.ascontiguousarray(rho, dtype=complex).view(np.float64)
+    return (pf @ v.reshape(*v.shape[:-2], pf.shape[1], 1))[..., 0]
 
 
 def setting_label(setting):
@@ -246,19 +259,16 @@ def _log_likelihood(q, counts, flux):
     return float(np.sum(counts[pos] * np.log(flux * q[pos])) - flux * np.sum(q))
 
 
-def _simplex_project(w):
-    # Euclidean projection of eigenvalues onto the probability simplex
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u)
-    k = np.nonzero(u * np.arange(1, len(w) + 1) > (css - 1.0))[0][-1]
-    tau = (css[k] - 1.0) / (k + 1)
-    return np.maximum(w - tau, 0.0)
-
-
 def _project_to_states(m):
-    # nearest density matrix in Frobenius norm: eigenvalues onto the simplex
+    # nearest density matrix in Frobenius norm, for one matrix or a stack:
+    # the eigenvalues minus the simplex threshold tau, clipped at 0. With
+    # u the eigenvalues in descending order (eigh sorts them ascending),
+    # t_j = (u_1 + ... + u_j - 1) / j rises while u_j > t_(j-1) and falls
+    # after, so tau, t_j at the last such j, is max_j t_j.
     w, v = np.linalg.eigh(m)
-    return (v * _simplex_project(w)) @ v.conj().T
+    css = np.cumsum(w[..., ::-1], axis=-1)
+    tau = np.max((css - 1.0) / np.arange(1, w.shape[-1] + 1), axis=-1, keepdims=True)
+    return (v * np.maximum(w - tau, 0.0)[..., None, :]) @ v.conj().mT
 
 
 def linear_inversion(rec, project=True):
@@ -290,6 +300,63 @@ def _linear_estimate(maps, rec, project=True):
     if project:
         rho = _project_to_states(rho)
     return rho
+
+
+def _gradient(pf, d, counts, q, flux, pos):
+    # G = sum_s (c_s / q_s - flux) Pi_s for one record or a stack of them;
+    # a setting with no counts (pos False) adds -flux Pi_s whatever its q_s
+    w = counts / np.where(pos, q, 1.0) - flux
+    return (w[..., None, :] @ pf).view(np.complex128).reshape(*w.shape[:-1], d, d)
+
+
+def _fw_gap(grad, n_total, flux, q):
+    # lambda_max(G) - Tr(rho G), with Tr(rho G) = sum_s (c_s / q_s - flux) q_s
+    # = N - flux sum_s q_s
+    lam_max = np.linalg.eigvalsh(grad)[..., -1]
+    return np.maximum(0.0, lam_max - (n_total - flux * q.sum(axis=-1)))
+
+
+def _lower_model_holds(c, r, step, eta):
+    # log L(trial) - [log L(y) + <G(y), trial - y>] >= -|trial - y|^2 / (2 eta)
+    # with r = q_trial / q_y - 1; the flux terms cancel exactly, leaving
+    # this Bregman form
+    s = step.reshape(*step.shape[:-2], step.shape[-2] * step.shape[-1])
+    return np.vecdot(c, np.log1p(r) - r) >= -np.vecdot(s, s).real / (2.0 * eta)
+
+
+def _gain(c, r, flux, dq):
+    # log L(q + dq) - log L(q) with r = dq / q, computed from log1p so it
+    # stays exact where |log L| ~ 1e8 and one ulp of it exceeds the gain
+    return np.vecdot(c, np.log1p(r)) - flux * dq.sum(axis=-1)
+
+
+def _start(maps, rec):
+    # projected linear inversion when the settings are informationally
+    # complete and it has a finite likelihood, else the maximally mixed state
+    if maps.rank == maps.d * maps.d and rec.counts.any():
+        x = _linear_estimate(maps, rec)
+        q = _probabilities(maps.pf, x)
+        if np.all(q[rec.counts > 0] > 0):
+            return x, q
+    x = np.eye(maps.d, dtype=complex) / maps.d
+    return x, _probabilities(maps.pf, x)
+
+
+def _result(x, q, gap, start, rec, iterations, converged):
+    ll = _log_likelihood(q, rec.counts, rec.flux)
+    x0, q0, gap0 = start
+    ll0 = _log_likelihood(q0, rec.counts, rec.flux)
+    if ll < ll0:
+        # the whole ascent was below the rounding of log L itself
+        x, ll, gap = x0, ll0, gap0
+    return ReconstructionResult(
+        rho=x, method="MLE", iterations=int(iterations),
+        log_likelihood=ll, converged=bool(converged), gap=float(gap),
+    )
+
+
+# backtracking halvings of the step size allowed in one iteration
+_MAX_HALVINGS = 60
 
 
 def mle_reconstruct(rec, max_iter=1500, tol=1e-9):
@@ -324,38 +391,18 @@ def mle_reconstruct(rec, max_iter=1500, tol=1e-9):
     """
     maps = _linear_maps(rec.settings)
     pf, d = maps.pf, maps.d
-    counts = rec.counts
-    flux = rec.flux
+    counts, flux = rec.counts, rec.flux
     n_total = counts.sum()
-    x = np.eye(d, dtype=complex) / d
-    qx = _probabilities(pf, x)
+    x, qx = _start(maps, rec)
     if n_total == 0:
-        return ReconstructionResult(
-            rho=x, method="MLE", iterations=0,
-            log_likelihood=_log_likelihood(qx, counts, flux), converged=True, gap=0.0,
-        )
+        return _result(x, qx, 0.0, (x, qx, 0.0), rec, 0, True)
     pos = counts > 0
-    if pos.all():
-        pos = slice(None)  # a view: cheaper to index than a mask
-    c = counts[pos]
-
-    def gradient(q):
-        w = np.full(q.shape, -flux)
-        w[pos] += c / q[pos]
-        return (w @ pf).view(np.complex128).reshape(d, d)
-
-    def fw_gap(q):
-        # Tr(rho G) = sum_s (c_s / q_s - flux) q_s = N - flux sum_s q_s
-        lam_max = np.linalg.eigvalsh(gradient(q))[-1]
-        return max(0.0, float(lam_max - (n_total - flux * q.sum())))
-
-    if maps.rank == d * d:
-        lin = _linear_estimate(maps, rec)
-        q_lin = _probabilities(pf, lin)
-        if np.all(q_lin[pos] > 0):
-            x, qx = lin, q_lin
-    gap = fw_gap(qx)
-    x0, q0, gap0 = x, qx, gap
+    # the settings with counts; a slice when that is all of them, as a
+    # view is cheaper to index than a mask
+    sel = slice(None) if pos.all() else pos
+    c = counts[sel]
+    gap = _fw_gap(_gradient(pf, d, counts, qx, flux, pos), n_total, flux, qx)
+    start = x, qx, gap
     x_prev, q_prev = x, qx
     y, qy = x, qx
     momentum = 1.0
@@ -364,28 +411,25 @@ def mle_reconstruct(rec, max_iter=1500, tol=1e-9):
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        g = gradient(qy)
+        g = _gradient(pf, d, counts, qy, flux, pos)
         cand = None
-        for _ in range(60):
+        for _ in range(_MAX_HALVINGS):
             trial = _project_to_states(y + eta * g)
             q_trial = _probabilities(pf, trial)
-            if np.all(q_trial[pos] > 0):
-                # log L(trial) - [log L(y) + <G(y), trial - y>]; the flux
-                # terms cancel exactly, leaving this Bregman form
-                r = (q_trial[pos] - qy[pos]) / qy[pos]
-                step = trial - y
-                if c @ (np.log1p(r) - r) >= -np.vdot(step, step).real / (2.0 * eta):
+            if (q_trial[sel] > 0).all():
+                r = (q_trial[sel] - qy[sel]) / qy[sel]
+                if _lower_model_holds(c, r, trial - y, eta):
                     cand, q_cand = trial, q_trial
                     break
             eta *= 0.5
         if cand is not None:
             eta *= 1.5
             dq = q_cand - qx
-            gain = c @ np.log1p(dq[pos] / qx[pos]) - flux * dq.sum()
+            gain = _gain(c, dq[sel] / qx[sel], flux, dq)
         if cand is not None and gain > 0:
             x_prev, q_prev, x, qx = x, qx, cand, q_cand
             stalls = 0
-            gap = fw_gap(qx)
+            gap = _fw_gap(_gradient(pf, d, counts, qx, flux, pos), n_total, flux, qx)
             if gap <= tol * n_total:
                 converged = True
                 break
@@ -394,7 +438,7 @@ def mle_reconstruct(rec, max_iter=1500, tol=1e-9):
             momentum = nxt
             y = x + beta * (x - x_prev)
             qy = qx + beta * (qx - q_prev)
-            if not np.all(qy[pos] > 0):
+            if not (qy[sel] > 0).all():
                 y, qy, momentum = x, qx, 1.0
         elif y is not x:
             # the extrapolated step would lower log L: restart the momentum
@@ -405,22 +449,139 @@ def mle_reconstruct(rec, max_iter=1500, tol=1e-9):
             if stalls == 3:
                 converged = True
                 break
-    ll, ll0 = _log_likelihood(qx, counts, flux), _log_likelihood(q0, counts, flux)
-    if ll < ll0:
-        # the whole ascent was below the rounding of log L itself
-        x, ll, gap = x0, ll0, gap0
-    return ReconstructionResult(
-        rho=x, method="MLE", iterations=iterations,
-        log_likelihood=ll, converged=converged, gap=gap,
-    )
+    return _result(x, qx, gap, start, rec, iterations, converged)
 
 
-def _reconstruct(rec, method, project):
-    if method == "mle":
-        return mle_reconstruct(rec).rho
-    if method == "linear":
-        return linear_inversion(rec, project=project).rho
-    raise ValueError(f"unknown reconstruction method {method!r}")
+def _mle_batch(recs, max_iter=1500, tol=1e-9):
+    """``mle_reconstruct`` on each of many records that share one settings tuple.
+
+    The records run in lockstep: each round projects one backtracking trial
+    per unfinished record with a single batched ``eigh``, so the numpy call
+    overhead of a round is shared by the whole batch. Every record keeps its
+    own step size, momentum, halving, stall and iteration counts, and the
+    same stops, certificate and rounding guard as ``mle_reconstruct``; a
+    record leaves the batch when it stops. All arithmetic is elementwise or
+    one product per record, never a product across records, so each result
+    is bit for bit the same alone, in any subset and in any order.
+    """
+    if not recs:
+        return []
+    if any(r.settings != recs[0].settings for r in recs):
+        raise ValueError("records in one batch must share their settings")
+    maps = _linear_maps(recs[0].settings)
+    pf, d = maps.pf, maps.d
+    starts = [_start(maps, r) for r in recs]
+    x0 = np.array([s[0] for s in starts])
+    q0 = np.array([s[1] for s in starts])
+    gap0 = np.zeros(len(recs))
+    counts = np.array([r.counts for r in recs])
+    flux = np.array([r.flux for r in recs])
+    n_total = counts.sum(axis=-1)
+    # the final state of each record; all-zero records end at their start
+    x_end, q_end, gap_end = x0.copy(), q0.copy(), gap0.copy()
+    iters_end = np.zeros(len(recs), dtype=int)
+    conv_end = n_total == 0
+
+    # state of the unfinished records, one row per entry of idx; every array
+    # is compacted when records finish
+    idx = np.flatnonzero(n_total > 0)
+    c, fl, nt = counts[idx], flux[idx], n_total[idx]
+    pos = c > 0
+
+    def relative(dq, q, at):
+        # dq / q on the settings with counts, 0 on the others
+        return np.divide(dq, q, out=np.zeros_like(dq), where=pos[at])
+
+    def certify(at):
+        grad = _gradient(pf, d, c[at], qx[at], fl[at, None], pos[at])
+        return _fw_gap(grad, nt[at], fl[at], qx[at])
+
+    x, qx = x0[idx], q0[idx]
+    gap = certify(slice(None))
+    gap0[idx] = gap
+    x_prev, q_prev, y, qy = x.copy(), qx.copy(), x.copy(), qx.copy()
+    g = np.zeros_like(x)
+    y_is_x = np.ones(idx.size, dtype=bool)
+    momentum = np.ones(idx.size)
+    eta = 1.0 / fl
+    halvings = np.zeros(idx.size, dtype=int)
+    stalls = np.zeros(idx.size, dtype=int)
+    iterations = np.zeros(idx.size, dtype=int)
+    converged = np.zeros(idx.size, dtype=bool)
+    fresh = np.ones(idx.size, dtype=bool)
+    while idx.size:
+        # records that begin an iteration take the gradient at their y
+        iterations[fresh] += 1
+        halvings[fresh] = 0
+        g[fresh] = _gradient(pf, d, c[fresh], qy[fresh], fl[fresh, None], pos[fresh])
+        trial = _project_to_states(y + eta[:, None, None] * g)
+        q_trial = _probabilities(pf, trial)
+        ok = np.all((q_trial > 0) | ~pos, axis=-1)
+        i = np.flatnonzero(ok)
+        r = relative(q_trial[i] - qy[i], qy[i], i)
+        ok[i] = _lower_model_holds(c[i], r, trial[i] - y[i], eta[i])
+        eta *= np.where(ok, 1.5, 0.5)
+        halvings += ~ok
+        ended = ok | (halvings == _MAX_HALVINGS)
+
+        # accepted trials that raise log L become the new iterates
+        i = np.flatnonzero(ok)
+        dq = q_trial[i] - qx[i]
+        i = i[_gain(c[i], relative(dq, qx[i], i), fl[i], dq) > 0]
+        stepped = np.zeros(idx.size, dtype=bool)
+        stepped[i] = True
+        x_prev[i], q_prev[i] = x[i], qx[i]
+        x[i], qx[i] = trial[i], q_trial[i]
+        stalls[i] = 0
+        gap[i] = certify(i)
+        converged[i] = gap[i] <= tol * nt[i]
+        i = i[~converged[i]]
+        m = momentum[i]
+        nxt = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * m * m))
+        beta = (m - 1.0) / nxt
+        momentum[i] = nxt
+        y[i] = x[i] + beta[:, None, None] * (x[i] - x_prev[i])
+        qy[i] = qx[i] + beta[:, None] * (qx[i] - q_prev[i])
+        y_is_x[i] = False
+        restart = i[~np.all((qy[i] > 0) | ~pos[i], axis=-1)]
+
+        # iterations that ended without an ascent step
+        i = np.flatnonzero(ended & ~stepped)
+        # the extrapolated step would lower log L: restart the momentum
+        restart = np.concatenate([restart, i[~y_is_x[i]]])
+        # no ascent step from x is representable
+        i = i[y_is_x[i]]
+        stalls[i] += 1
+        converged[i] = stalls[i] == 3
+        y[restart], qy[restart] = x[restart], qx[restart]
+        momentum[restart] = 1.0
+        y_is_x[restart] = True
+
+        done = converged | (ended & (iterations == max_iter))
+        fresh = ended & ~done
+        if done.any():
+            out = idx[done]
+            x_end[out], q_end[out], gap_end[out] = x[done], qx[done], gap[done]
+            iters_end[out], conv_end[out] = iterations[done], converged[done]
+            keep = ~done
+            (idx, c, fl, nt, pos, x, qx, x_prev, q_prev, y, qy, g, y_is_x, momentum,
+             eta, halvings, stalls, iterations, gap, converged, fresh) = (
+                a[keep] for a in (
+                    idx, c, fl, nt, pos, x, qx, x_prev, q_prev, y, qy, g, y_is_x,
+                    momentum, eta, halvings, stalls, iterations, gap, converged, fresh,
+                )
+            )
+    return [
+        _result(x_end[k], q_end[k], gap_end[k], (x0[k], q0[k], gap0[k]), rec,
+                iters_end[k], conv_end[k])
+        for k, rec in enumerate(recs)
+    ]
+
+
+def _resample(rec, seed):
+    # counts ~ Poisson(mean = observed counts), from its own generator
+    counts = np.random.default_rng(seed).poisson(rec.counts).astype(float)
+    return CountRecord(settings=rec.settings, counts=counts, flux=rec.flux, seed=seed)
 
 
 def monte_carlo_states(rec, n_samples, seed, method="mle", project=True):
@@ -428,16 +589,25 @@ def monte_carlo_states(rec, n_samples, seed, method="mle", project=True):
 
     Sample k draws counts ~ Poisson(mean = observed counts) from the
     generator seeded with seed + k, so the stream is independent of any
-    scheduling or chunking of the consumer.
+    scheduling or chunking of the consumer. With ``method="mle"`` all
+    samples are solved in one lockstep batch before the first is yielded;
+    a sample's state does not depend on the others in its batch, so sample
+    k of seed s is bit for bit sample k - 1 of seed s + 1.
     """
-    for k in range(n_samples):
-        rng = np.random.default_rng(seed + k)
-        resampled = rng.poisson(rec.counts).astype(float)
-        sample = CountRecord(
-            settings=rec.settings, counts=resampled, flux=rec.flux, seed=seed + k
-        )
+    if method == "mle":
+        samples = [_resample(rec, seed + k) for k in range(n_samples)]
         try:
-            yield _reconstruct(sample, method, project)
+            results = _mle_batch(samples)
+        except Exception as exc:
+            raise RuntimeError("reconstruction of the resamples failed") from exc
+        for res in results:
+            yield res.rho
+        return
+    if method != "linear":
+        raise ValueError(f"unknown reconstruction method {method!r}")
+    for k in range(n_samples):
+        try:
+            yield linear_inversion(_resample(rec, seed + k), project=project).rho
         except Exception as exc:
             raise RuntimeError(f"reconstruction failed for resample {k}") from exc
 

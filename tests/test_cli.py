@@ -72,12 +72,18 @@ def test_sweep_config_file_errors(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 1
 
 
-def test_config_errors_exit_1(capsys):
+def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["sweep"]) == 1
     assert "exactly one" in capsys.readouterr().err
     assert main(["sweep", "--p-grid", "0.2", "--t-grid", "1.0"]) == 1
     assert main(["sweep", "--p-grid", "7"]) == 1
     assert main(["sweep", "--p-grid", "0.2", "--format", "xml"]) == 1
+    # sweeps run on one thread: there is no worker count to set
+    assert main(["sweep", "--p-grid", "0.2", "--workers", "2"]) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"p_grid": [0.2], "workers": 2}')
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "workers" in capsys.readouterr().err
     assert main(["nonsense"]) == 1
     assert main([]) == 1
     err = capsys.readouterr().err

@@ -43,8 +43,6 @@ def test_config_field_validation():
     SweepConfig(
         p_grid=(0.5,), tomography_enabled=True, mc_samples=_SEED_STRIDE - 1
     ).validate()
-    with pytest.raises(ConfigError, match="workers"):
-        SweepConfig(p_grid=(0.5,), workers=0).validate()
     with pytest.raises(ConfigError, match="chain"):
         SweepConfig(graph=linear_graph(4), p_grid=(0.5,)).validate()
 
@@ -87,14 +85,6 @@ def test_bound_row_in_experiment_window():
     # at machine tolerance the middle cut only dies past T/Delta ~ 3.003
     (far,) = run_sweep(SweepConfig(t_grid=(3.5,), alpha=0.84 * np.pi))
     assert far.klass == PPT_ALL
-
-
-def test_rows_follow_grid_order_regardless_of_workers():
-    grid = (0.9, 0.1, 0.5)
-    serial = run_sweep(SweepConfig(p_grid=grid, workers=1))
-    pooled = run_sweep(SweepConfig(p_grid=grid, workers=3))
-    assert [pt.p for pt in serial] == list(grid)
-    assert serial == pooled
 
 
 def test_emit_csv_shape_and_header():

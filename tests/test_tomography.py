@@ -6,6 +6,7 @@ from thermalcluster.linalg import validate_density_matrix
 from thermalcluster.thermal import p_from_temperature, thermal_state_model
 from thermalcluster.tomography import (
     CountRecord,
+    _mle_batch,
     expected_probabilities,
     linear_inversion,
     mle_reconstruct,
@@ -199,6 +200,14 @@ def test_monte_carlo_seed_indexing():
     run_b = list(monte_carlo_states(rec, 2, seed=11, method="linear"))
     assert np.allclose(run_a[1], run_b[0])
     assert np.allclose(run_a[2], run_b[1])
+    # the MLE solves each call's samples in one batch, and a sample's state
+    # does not depend on the rest of its batch
+    mle_a = list(monte_carlo_states(rec, 3, seed=10))
+    mle_b = list(monte_carlo_states(rec, 2, seed=11))
+    (mle_c,) = monte_carlo_states(rec, 1, seed=12)
+    assert np.array_equal(mle_a[1], mle_b[0])
+    assert np.array_equal(mle_a[2], mle_b[1])
+    assert np.array_equal(mle_a[2], mle_c)
 
 
 def test_monte_carlo_statistic_deterministic():
@@ -223,3 +232,47 @@ def test_monte_carlo_wraps_reconstruction_failures():
     )
     with pytest.raises(RuntimeError, match="resample 0"):
         list(monte_carlo_states(rec, 1, seed=0, method="linear"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_mle_batch_agrees_with_mle_reconstruct():
+    # the lockstep batch against the one-record solver, on one mixed batch:
+    # tomo_ladder cells, a record with zero counts and an all-zero record
+    settings = standard_settings(3)
+    recs = []
+    for t in (0.5, 1.8):
+        rho = thermal_state_model(linear_graph(3), p_from_temperature(t), 0.84 * np.pi)
+        for flux in (1e3, 1e6):
+            recs += [simulate_counts(rho, settings, flux, seed=s) for s in (40, 41, 42)]
+    sparse = simulate_counts(model_state(0.1, 0.84 * np.pi), settings, 20.0, seed=3)
+    assert 0 < np.count_nonzero(sparse.counts == 0) < len(settings)
+    empty = CountRecord(settings=settings, counts=np.zeros(len(settings)), flux=1e3)
+    recs += [sparse, empty]
+
+    def check(batch, **kw):
+        for rec, got in zip(batch, _mle_batch(batch, **kw)):
+            ref = mle_reconstruct(rec, **kw)
+            validate_density_matrix(got.rho)
+            assert got.converged == ref.converged
+            assert abs(got.log_likelihood - ref.log_likelihood) <= max(got.gap, ref.gap)
+            yield got
+
+    results = list(check(recs))
+    assert all(res.converged for res in results)
+    assert np.array_equal(results[-1].rho, np.eye(8) / 8)
+    assert results[-1].gap == 0.0 and results[-1].iterations == 0
+    capped = list(check(recs[:-1], max_iter=3))
+    assert all(not res.converged and res.iterations == 3 for res in capped)
+    # from the maximally mixed start the first trial has q = 0 on a setting
+    # with counts, so a round ends with no trial to test
+    lone = CountRecord(settings=(("z0",), ("z1",)), counts=np.array([5.0, 1.0]), flux=1.0)
+    (res,) = check([lone])
+    assert np.allclose(res.rho, np.diag([5.0, 1.0]) / 6.0, atol=1e-6)
+
+
+def test_mle_batch_needs_one_settings_tuple():
+    a = CountRecord(settings=standard_settings(1), counts=np.ones(4), flux=1.0)
+    b = CountRecord(settings=mub_settings(1), counts=np.ones(6), flux=1.0)
+    with pytest.raises(ValueError, match="settings"):
+        _mle_batch([a, b])
+    assert _mle_batch([]) == []
