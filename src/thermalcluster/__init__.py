@@ -8,122 +8,48 @@ Poissonian counting noise, and measurement-based single-qubit state
 preparation with its 2/3 classical benchmark.
 """
 
-from .linalg import (
-    KETS,
-    PositivityError,
-    basis_index,
-    fidelity,
-    hermitian_expm,
-    partial_trace,
-    partial_transpose,
-    purity,
-    tensor,
-    tensor_all,
-    trace_norm,
-    validate_density_matrix,
-)
-from .graphs import (
-    Graph,
-    SpectrumReport,
-    build_graph_state,
-    excited_state,
-    format_graph,
-    linear_graph,
-    parent_hamiltonian,
-    parse_graph,
-    verify_spectrum,
-)
-from .thermal import (
-    Channel,
-    TemperaturePoint,
-    apply_channels,
-    dephasing_channel,
-    gibbs_state,
-    p_from_temperature,
-    phase_gate_channel,
-    temperature_from_p,
-    thermal_state_model,
-)
-from .entanglement import (
-    BOUND,
-    FREE,
-    PPT_ALL,
-    BracketingError,
-    EntanglementReport,
-    TransitionPoints,
-    all_bipartitions,
-    classify,
-    classify_values,
-    negativity,
-    transition_points,
-)
+from .linalg import fidelity
+from .graphs import build_graph_state, linear_graph, verify_spectrum
+from .thermal import gibbs_state, p_from_temperature, thermal_state_model
+from .entanglement import classify, negativity, transition_points
 from .tomography import (
-    CountRecord,
-    ReconstructionResult,
-    expected_probabilities,
     linear_inversion,
     mle_reconstruct,
-    monte_carlo_states,
     monte_carlo_statistic,
-    mub_settings,
-    parse_setting_label,
-    poisson_log_likelihood,
-    setting_label,
-    setting_projector,
     simulate_counts,
     standard_settings,
 )
 from .mbqc import (
-    ENABLED_PAIRS,
-    PREPARATION_PAIRS,
-    PreparationRecord,
     average_preparation_fidelity,
     classical_threshold,
-    conditional_state,
     haar_average_fidelity,
     preparation_records,
-    target_map,
 )
-from .sweep import (
-    ConfigError,
-    SweepConfig,
-    SweepPoint,
-    emit,
-    load_json_points,
-    run_sweep,
-)
+from .sweep import SweepConfig, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # linalg
-    "KETS", "PositivityError", "basis_index", "fidelity", "hermitian_expm",
-    "partial_trace", "partial_transpose", "purity", "tensor", "tensor_all",
-    "trace_norm", "validate_density_matrix",
-    # graphs
-    "Graph", "SpectrumReport", "build_graph_state", "excited_state",
-    "format_graph", "linear_graph", "parent_hamiltonian", "parse_graph",
-    "verify_spectrum",
-    # thermal
-    "Channel", "TemperaturePoint", "apply_channels", "dephasing_channel",
-    "gibbs_state", "p_from_temperature", "phase_gate_channel",
-    "temperature_from_p", "thermal_state_model",
-    # entanglement
-    "BOUND", "FREE", "PPT_ALL", "BracketingError", "EntanglementReport",
-    "TransitionPoints", "all_bipartitions", "classify", "classify_values",
-    "negativity", "transition_points",
-    # tomography
-    "CountRecord", "ReconstructionResult", "expected_probabilities",
-    "linear_inversion", "mle_reconstruct", "monte_carlo_states",
-    "monte_carlo_statistic", "mub_settings", "parse_setting_label",
-    "poisson_log_likelihood", "setting_label", "setting_projector",
-    "simulate_counts", "standard_settings",
-    # mbqc
-    "ENABLED_PAIRS", "PREPARATION_PAIRS", "PreparationRecord",
-    "average_preparation_fidelity", "classical_threshold", "conditional_state",
-    "haar_average_fidelity", "preparation_records", "target_map",
-    # sweep
-    "ConfigError", "SweepConfig", "SweepPoint", "emit", "load_json_points",
+    "SweepConfig",
+    "average_preparation_fidelity",
+    "build_graph_state",
+    "classical_threshold",
+    "classify",
+    "fidelity",
+    "gibbs_state",
+    "haar_average_fidelity",
+    "linear_graph",
+    "linear_inversion",
+    "mle_reconstruct",
+    "monte_carlo_statistic",
+    "negativity",
+    "p_from_temperature",
+    "preparation_records",
     "run_sweep",
+    "simulate_counts",
+    "standard_settings",
+    "thermal_state_model",
+    "transition_points",
+    "verify_spectrum",
 ]

@@ -148,11 +148,15 @@ def transition_points(alpha, tol=DEFAULT_TOL, graph=None):
     if g.n_vertices != 3:
         raise ValueError("transition analysis is defined for the 3-qubit chain")
 
-    def neg_at(p, side):
-        return negativity(thermal_state_model(g, p, alpha), side, 3)
+    def end_neg(p):
+        rho = thermal_state_model(g, p, alpha)
+        return min(negativity(rho, (0,), 3), negativity(rho, (2,), 3))
 
-    p_end = _bisect_decreasing(lambda p: min(neg_at(p, (0,)), neg_at(p, (2,))) - tol)
-    p_mid = _bisect_decreasing(lambda p: neg_at(p, (1,)) - tol)
+    def mid_neg(p):
+        return negativity(thermal_state_model(g, p, alpha), (1,), 3)
+
+    p_end = _bisect_decreasing(lambda p: end_neg(p) - tol)
+    p_mid = _bisect_decreasing(lambda p: mid_neg(p) - tol)
     return TransitionPoints(
         p_free_to_bound=p_end,
         p_bound_to_ppt=p_mid,

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import build_graph_state, linear_graph
-from .linalg import KETS
+from .linalg import KETS, tensor_all
 
 __all__ = [
     "AXES",
@@ -74,14 +74,15 @@ class PreparationRecord:
     fidelity: float
 
 
-def _conditional(rho, ket_bs, ket_bp):
-    # project qubit 1 on ket_bs and qubit 2 on ket_bp, keep qubit 0
+def _reduced(rho, ket_bs, ket_bp):
+    """Unnormalized A_p state <bs, bp| rho |bs, bp>, its trace the probability.
+
+    Projects qubit 1 on ``ket_bs`` and qubit 2 on ``ket_bp``. ``ket_bs`` may
+    carry a leading sample axis, which the result then carries too.
+    """
     t = np.asarray(rho).reshape(2, 2, 2, 2, 2, 2)
-    red = np.einsum(
-        "j,k,ajkbJK,J,K->ab", ket_bs.conj(), ket_bp.conj(), t, ket_bs, ket_bp
-    )
-    prob = float(np.trace(red).real)
-    return red, prob
+    m = np.einsum("k,ajkbJK,K->ajbJ", ket_bp.conj(), t, ket_bp)
+    return np.einsum("...j,ajbJ,...J->...ab", ket_bs.conj(), m, ket_bs)
 
 
 def conditional_state(rho, basis_bp, basis_bs, outcome_bp, outcome_bs):
@@ -92,7 +93,8 @@ def conditional_state(rho, basis_bp, basis_bs, outcome_bp, outcome_bs):
     """
     ket_bp = KETS[_AXIS_LABELS[basis_bp][outcome_bp]]
     ket_bs = KETS[_AXIS_LABELS[basis_bs][outcome_bs]]
-    red, prob = _conditional(rho, ket_bs, ket_bp)
+    red = _reduced(rho, ket_bs, ket_bp)
+    prob = float(np.trace(red).real)
     if prob < _ZERO_PROB:
         return prob, np.eye(2, dtype=complex) / 2.0
     return prob, red / prob
@@ -167,31 +169,31 @@ def preparation_records(rho, pairs=ENABLED_PAIRS):
     return records
 
 
-def average_preparation_fidelity(rho, pairs=PREPARATION_PAIRS, outcome_weighting="probability"):
-    """Preparation fidelity averaged over basis pairs and outcomes.
+def average_preparation_fidelity(rho):
+    """Preparation fidelity F = Tr(rho W), averaged over PREPARATION_PAIRS.
 
-    Uniform over the basis pairs, and over outcomes either weighted by their
-    probabilities (what an experiment records; the default) or uniformly.
-    With the default ``pairs`` this is the two-design average whose curve
+    F is the mean over the three pairs of the sum over outcomes of
+    probability times fidelity, what an experiment records. Each term is
+    <target, bs, bp| rho |target, bs, bp>, so F is linear in rho with
+    W = (1/3) sum |target><target| (x) |bs><bs| (x) |bp><bp| over the 12
+    (pair, outcome) branches. This is the two-design average whose curve
     crosses the classical threshold 2/3 near T/Delta = 1.13 on the ideal
     sweep; it is 1 on the pure cluster and 1/2 on the maximally mixed state.
     """
-    if outcome_weighting not in ("probability", "uniform"):
-        raise ValueError(f"unknown outcome weighting {outcome_weighting!r}")
-    targets = target_map()
-    total = 0.0
-    for bp, bs in pairs:
-        pair_acc = 0.0
+    return float(np.vdot(_preparation_operator(), rho).real)
+
+
+@lru_cache(maxsize=1)
+def _preparation_operator():
+    targets = _target_map_cached()
+    w = np.zeros((8, 8), dtype=complex)
+    for bp, bs in PREPARATION_PAIRS:
         for op, os_ in itertools.product((0, 1), repeat=2):
-            prob, cond = conditional_state(rho, bp, bs, op, os_)
-            tgt = targets[(bp, bs, op, os_)]
-            fid = float((tgt.conj() @ cond @ tgt).real)
-            if outcome_weighting == "probability":
-                pair_acc += prob * fid
-            else:
-                pair_acc += 0.25 * fid
-        total += pair_acc
-    return total / len(pairs)
+            ket_bp = KETS[_AXIS_LABELS[bp][op]]
+            ket_bs = KETS[_AXIS_LABELS[bs][os_]]
+            v = tensor_all([targets[(bp, bs, op, os_)], ket_bs, ket_bp])
+            w += np.outer(v, v.conj())
+    return w / len(PREPARATION_PAIRS)
 
 
 def classical_threshold():
@@ -218,21 +220,13 @@ def haar_average_fidelity(rho, n_samples, seed):
 
     psi0 = build_graph_state(linear_graph(3))
     rho0 = np.outer(psi0, psi0.conj())
-    t = np.asarray(rho).reshape(2, 2, 2, 2, 2, 2)
-    t0 = rho0.reshape(2, 2, 2, 2, 2, 2)
 
     total = np.zeros(n_samples)
     for ket_bs in (bs0, bs1):
         for lab in ("z0", "z1"):
             ket_bp = KETS[lab]
-            red = np.einsum(
-                "sj,k,ajkbJK,sJ,K->sab",
-                ket_bs.conj(), ket_bp.conj(), t, ket_bs, ket_bp, optimize=True,
-            )
-            red0 = np.einsum(
-                "sj,k,ajkbJK,sJ,K->sab",
-                ket_bs.conj(), ket_bp.conj(), t0, ket_bs, ket_bp, optimize=True,
-            )
+            red = _reduced(rho, ket_bs, ket_bp)
+            red0 = _reduced(rho0, ket_bs, ket_bp)
             p0 = np.einsum("saa->s", red0).real
             vecs = np.linalg.eigh(red0 / p0[:, None, None])[1][:, :, -1]
             # unnormalized overlap = probability * fidelity

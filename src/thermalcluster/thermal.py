@@ -17,34 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import build_graph_state, parent_hamiltonian
-from .linalg import I2, Z, hermitian_expm, tensor_all
+from .linalg import hermitian_expm, tensor_all
 
 __all__ = [
-    "Channel",
     "TemperaturePoint",
     "p_from_temperature",
     "temperature_from_p",
     "gibbs_state",
-    "dephasing_channel",
-    "phase_gate_channel",
-    "apply_channels",
     "thermal_state_model",
 ]
-
-
-@dataclass(frozen=True)
-class Channel:
-    """Mixed-unitary single-qubit channel: apply each unitary with its weight."""
-
-    kraus_ops: tuple  # tuple of (weight, 2x2 unitary)
-    target_qubit: int
-
-    def __post_init__(self):
-        total = sum(w for w, _ in self.kraus_ops)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"channel weights sum to {total!r}, expected 1")
-        if any(w < 0 for w, _ in self.kraus_ops):
-            raise ValueError("channel weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -111,57 +92,24 @@ def gibbs_state(g, gap=1.0, t_over_delta=0.0):
     return rho / np.trace(rho).real
 
 
-def dephasing_channel(p, qubit):
-    """Leave the qubit alone with probability 1 - p/2, apply Z with p/2."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    return Channel(kraus_ops=((1.0 - p / 2.0, I2), (p / 2.0, Z)), target_qubit=qubit)
-
-
-def phase_gate_channel(p, alpha, qubit):
-    """Dephasing with the imperfect gate F(alpha) = diag(1, e^(i*alpha)).
-
-    alpha = pi recovers the ideal dephasing channel; the experiments are fit
-    by alpha = 0.84*pi.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    f = np.array([[1.0, 0.0], [0.0, np.exp(1j * alpha)]], dtype=complex)
-    return Channel(kraus_ops=((1.0 - p / 2.0, I2), (p / 2.0, f)), target_qubit=qubit)
-
-
-def _embed(u, qubit, n):
-    factors = [I2] * n
-    factors[qubit] = u
-    return tensor_all(factors)
-
-
-def apply_channels(state, channels, n=None):
-    """Apply each mixed-unitary channel in sequence to a density matrix."""
-    rho = np.asarray(state, dtype=complex)
-    if n is None:
-        n = int(round(np.log2(rho.shape[0])))
-    for ch in channels:
-        if not 0 <= ch.target_qubit < n:
-            raise ValueError(f"channel qubit {ch.target_qubit} out of range for n={n}")
-        out = np.zeros_like(rho)
-        for w, u in ch.kraus_ops:
-            if w == 0.0:
-                continue
-            big = _embed(np.asarray(u, dtype=complex), ch.target_qubit, n)
-            out += w * (big @ rho @ big.conj().T)
-        rho = out
-    return rho
-
-
 def thermal_state_model(g, p, alpha=np.pi):
     """Graph state followed by the phase-gate channel on every qubit.
 
-    With alpha = pi this is exactly the Gibbs state at temperature_from_p(p);
+    Each qubit is left alone with probability 1 - p/2 and hit by
+    F(alpha) = diag(1, e^(i*alpha)) with probability p/2. That channel is
+    diagonal in the computational basis: it multiplies the coherence
+    |i><j| by K_ij = prod_q [(1 - p/2) + (p/2) e^(i*alpha*(b_i^q - b_j^q))],
+    where b_i^q is bit q of i, and leaves the populations alone. So the
+    state is exactly |G><G| multiplied entry by entry by K.
+
+    With alpha = pi this is the Gibbs state at temperature_from_p(p);
     alpha = 0.84*pi models an imperfect entangling gate of the kind photonic
     implementations are fit by.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     psi = build_graph_state(g)
-    rho = np.outer(psi, psi.conj())
-    channels = [phase_gate_channel(p, alpha, q) for q in range(g.n_vertices)]
-    return apply_channels(rho, channels, n=g.n_vertices)
+    # one qubit's factor: entry [b_i, b_j]; b_i = 0, b_j = 1 gives e^(-i*alpha)
+    c = (1.0 - p / 2.0) + (p / 2.0) * np.exp(-1j * alpha)
+    k = np.array([[1.0, c], [np.conj(c), 1.0]])
+    return np.outer(psi, psi.conj()) * tensor_all([k] * g.n_vertices)

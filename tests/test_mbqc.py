@@ -64,11 +64,15 @@ def test_excluded_pair_has_impossible_outcomes():
 def test_outcome_probabilities_sum_to_one():
     rho = model(0.6, 0.84 * np.pi)
     for bp, bs in ENABLED_PAIRS:
-        total = sum(
+        probs = [
             conditional_state(rho, bp, bs, op, os_)[0]
             for op, os_ in itertools.product((0, 1), repeat=2)
-        )
-        assert abs(total - 1.0) < 1e-12
+        ]
+        assert abs(sum(probs) - 1.0) < 1e-12
+        # on the preparation pairs every outcome keeps probability 1/4 on
+        # model states, so probability and uniform outcome weights agree there
+        if (bp, bs) in PREPARATION_PAIRS:
+            assert all(abs(q - 0.25) < 1e-12 for q in probs), (bp, bs, probs)
 
 
 def test_pure_cluster_prepares_targets_exactly():
@@ -89,15 +93,16 @@ def test_average_fidelity_monotone_in_p():
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_outcome_weighting_equivalence_on_model():
-    # the four outcomes keep probability 1/4 under the channel, so both
-    # weightings coincide on model states
-    rho = model(0.5, 0.84 * np.pi)
-    a = average_preparation_fidelity(rho, outcome_weighting="probability")
-    b = average_preparation_fidelity(rho, outcome_weighting="uniform")
-    assert abs(a - b) < 1e-12
-    with pytest.raises(ValueError):
-        average_preparation_fidelity(rho, outcome_weighting="magic")
+def test_average_fidelity_matches_preparation_records():
+    # Tr(rho W) against the branch-by-branch sum, on states off the model
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        recs = preparation_records(rho, pairs=PREPARATION_PAIRS)
+        direct = sum(r.probability * r.fidelity for r in recs) / len(PREPARATION_PAIRS)
+        assert abs(average_preparation_fidelity(rho) - direct) < 1e-15
 
 
 def test_preparation_set_covers_all_axes():

@@ -1,18 +1,15 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 from thermalcluster.graphs import build_graph_state, linear_graph
-from thermalcluster.linalg import I2, Z, validate_density_matrix
+from thermalcluster.linalg import I2, tensor_all, validate_density_matrix
 from thermalcluster.thermal import (
-    Channel,
     TemperaturePoint,
-    apply_channels,
-    dephasing_channel,
     gibbs_state,
     p_from_temperature,
-    phase_gate_channel,
     temperature_from_p,
     thermal_state_model,
 )
@@ -59,21 +56,6 @@ def test_temperature_point_constructors():
     assert abs(tp2.p - 0.5) < 1e-12
 
 
-def test_channel_weight_validation():
-    with pytest.raises(ValueError):
-        Channel(kraus_ops=((0.6, I2), (0.6, Z)), target_qubit=0)
-    with pytest.raises(ValueError):
-        Channel(kraus_ops=((1.2, I2), (-0.2, Z)), target_qubit=0)
-
-
-def test_phase_gate_reduces_to_dephasing_at_pi():
-    ch_pi = phase_gate_channel(0.3, np.pi, 1)
-    ch_z = dephasing_channel(0.3, 1)
-    for (w1, u1), (w2, u2) in zip(ch_pi.kraus_ops, ch_z.kraus_ops):
-        assert abs(w1 - w2) < 1e-15
-        assert np.allclose(u1, u2)
-
-
 def test_gibbs_endpoints():
     g = linear_graph(3)
     psi = build_graph_state(g)
@@ -98,18 +80,38 @@ def test_gibbs_vs_dephasing_oracle():
         assert worst < 1e-12, (n, worst)
 
 
-def test_apply_channels_preserves_state_validity():
-    g = linear_graph(3)
+def kraus_sum(g, p, alpha):
+    # sum over the qubit subsets S hit by F(alpha) = diag(1, e^(i alpha)):
+    # prod of the weights (p/2 on S, 1 - p/2 off S) times F_S rho F_S^dagger
     psi = build_graph_state(g)
     rho = np.outer(psi, psi.conj())
-    out = apply_channels(rho, [phase_gate_channel(0.7, 0.84 * np.pi, q) for q in range(3)])
-    validate_density_matrix(out)
+    f = np.diag([1.0, np.exp(1j * alpha)])
+    out = np.zeros_like(rho)
+    for hit in itertools.product((False, True), repeat=g.n_vertices):
+        weight = np.prod([p / 2.0 if h else 1.0 - p / 2.0 for h in hit])
+        big = tensor_all([f if h else I2 for h in hit])
+        out += weight * (big @ rho @ big.conj().T)
+    return out
 
 
-def test_apply_channels_qubit_range():
-    rho = np.eye(4, dtype=complex) / 4
-    with pytest.raises(ValueError):
-        apply_channels(rho, [dephasing_channel(0.5, 2)])
+def test_model_matches_kraus_sum():
+    for n in (2, 3, 4):
+        g = linear_graph(n)
+        for alpha in (0.3, 0.84 * np.pi):
+            for p in np.linspace(0.0, 1.0, 11):
+                dev = np.abs(thermal_state_model(g, p, alpha) - kraus_sum(g, p, alpha)).max()
+                assert dev < 1e-15, (n, alpha, p, dev)
+
+
+def test_model_is_valid_state():
+    validate_density_matrix(thermal_state_model(linear_graph(3), 0.7, 0.84 * np.pi))
+
+
+def test_model_rejects_p_outside_unit_interval():
+    g = linear_graph(3)
+    for p in (-0.1, 1.2, float("nan")):
+        with pytest.raises(ValueError):
+            thermal_state_model(g, p, np.pi)
 
 
 def test_model_alpha_zero_is_identity_channel():
