@@ -37,7 +37,7 @@ print(np.round(psi, 4))
 print("\nGibbs route vs local-dephasing route:")
 for t in (0.25, 0.5, 1.0, 2.0):
     p = p_from_temperature(t)
-    via_gibbs = gibbs_state(g, 1.0, t)
+    via_gibbs = gibbs_state(g, t)
     via_channel = thermal_state_model(g, p, np.pi)
     diff = np.abs(via_gibbs - via_channel).max()
     print(f"  T/Delta = {t:4.2f}  (p = {p:.4f})   max difference = {diff:.2e}")

@@ -39,7 +39,8 @@ print(f"fidelity of the reconstruction with the generating state: "
       f"{fidelity(result.rho, rho):.4f}")
 
 # Error bars: resample every count from a Poisson centered on the observed
-# value, reconstruct each resample, and take the spread of the statistic.
+# value, reconstruct each resample by maximum likelihood, and take the
+# spread of the statistic.
 print("\nnegativities with Monte Carlo error bars (40 resamples):")
 for label, cut in (("A_p", (0,)), ("B_s", (1,)), ("B_p", (2,))):
     true_val = negativity(rho, cut, 3)

@@ -28,8 +28,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .entanglement import classify, negativity
-from .graphs import linear_graph, parse_graph, verify_spectrum
+from .entanglement import classify
+from .graphs import CHAIN, parse_graph, verify_spectrum
 from .linalg import fidelity
 from .mbqc import (
     ENABLED_PAIRS,
@@ -60,22 +60,20 @@ def _parse_graph_arg(text):
 
 
 def parse_alpha(text):
-    """Parse a phase angle: plain radians, 'pi', or a multiple like '0.84pi'."""
+    """Parse a finite phase angle: plain radians, 'pi', or a multiple like '0.84pi'."""
     s = str(text).strip().lower().replace(" ", "").replace("*", "")
+    scale = 1.0
     if s.endswith("pi"):
-        head = s[:-2]
-        if head in ("", "+"):
-            return math.pi
-        if head == "-":
-            return -math.pi
-        try:
-            return float(head) * math.pi
-        except ValueError:
-            raise ConfigError(f"cannot parse angle {text!r}") from None
+        s, scale = s[:-2], math.pi
+        if s in ("", "+", "-"):
+            s += "1"
     try:
-        return float(s)
+        alpha = float(s) * scale
     except ValueError:
         raise ConfigError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(alpha):
+        raise ConfigError(f"angle must be finite, got {text!r}")
+    return alpha
 
 
 def parse_grid(text):
@@ -111,16 +109,11 @@ def _config_from_file(path):
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = {
-        "graph", "alpha", "p_grid", "t_grid", "flux",
-        "mc_samples", "seed", "tomography_enabled",
-    }
+    known = {"alpha", "p_grid", "t_grid", "flux", "mc_samples", "seed", "tomography_enabled"}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     out = dict(raw)
-    if "graph" in out:
-        out["graph"] = _parse_graph_arg(out["graph"])
     if "alpha" in out:
         out["alpha"] = parse_alpha(out["alpha"])
     for key in ("p_grid", "t_grid"):
@@ -175,7 +168,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_spectrum(args):
-    g = _parse_graph_arg(args.graph) if args.graph else linear_graph(3)
+    if not 0 < args.gap < math.inf:
+        raise ConfigError("--gap must be positive and finite")
+    g = _parse_graph_arg(args.graph) if args.graph else CHAIN
     report = verify_spectrum(g, gap=args.gap)
     print(f"graph: {g.n_vertices} vertices, {len(g.edges)} edges")
     print(f"levels: {[round(e, 12) for e in report.levels]}")
@@ -215,7 +210,11 @@ def _load_counts(path):
 def _cmd_tomo(args):
     p, t = _point_args(args)
     alpha = parse_alpha(args.alpha)
-    rho = thermal_state_model(linear_graph(3), p, alpha)
+    if not 0 < args.flux < math.inf:
+        raise ConfigError("--flux must be positive and finite")
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
+    rho = thermal_state_model(CHAIN, p, alpha)
     if args.load_counts:
         rec = _load_counts(args.load_counts)
         if rec.n_qubits != 3:
@@ -243,7 +242,7 @@ def _cmd_tomo(args):
 def _cmd_mbqc(args):
     p, t = _point_args(args)
     alpha = parse_alpha(args.alpha)
-    rho = thermal_state_model(linear_graph(3), p, alpha)
+    rho = thermal_state_model(CHAIN, p, alpha)
     print(f"p = {p!r}, t_over_delta = {t!r}, alpha = {alpha!r}")
     for pair in ENABLED_PAIRS:
         recs = preparation_records(rho, pairs=(pair,))

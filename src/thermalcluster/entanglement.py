@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import linear_graph
+from .graphs import CHAIN
 from .linalg import partial_transpose, trace_norm
 from .thermal import temperature_from_p, thermal_state_model
 
@@ -76,7 +76,6 @@ def all_bipartitions(n):
 class EntanglementReport:
     negativities: dict  # side_a tuple -> negativity
     klass: str | None  # PPT_ALL / BOUND / FREE; None when n != 3
-    tolerance: float
 
 
 def classify_values(negs, tols):
@@ -93,8 +92,8 @@ def classify_values(negs, tols):
     return BOUND
 
 
-def classify(rho, tol=DEFAULT_TOL, n=None):
-    """Negativities across every bipartition plus the regime label.
+def classify(rho):
+    """Negativities across every bipartition plus the regime label at DEFAULT_TOL.
 
     The PPT_ALL label is a separability candidate only: a positive partial
     transpose across every cut does not prove the state separable. The
@@ -102,14 +101,13 @@ def classify(rho, tol=DEFAULT_TOL, n=None):
     the report carries negativities with klass None.
     """
     rho = np.asarray(rho)
-    if n is None:
-        n = int(round(np.log2(rho.shape[0])))
+    n = int(round(np.log2(rho.shape[0])))
     cuts = all_bipartitions(n)
     negs = {c: negativity(rho, c, n) for c in cuts}
     klass = None
     if n == 3:
-        klass = classify_values([negs[c] for c in cuts], [tol] * len(cuts))
-    return EntanglementReport(negativities=negs, klass=klass, tolerance=tol)
+        klass = classify_values([negs[c] for c in cuts], [DEFAULT_TOL] * len(cuts))
+    return EntanglementReport(negativities=negs, klass=klass)
 
 
 @dataclass(frozen=True)
@@ -120,13 +118,16 @@ class TransitionPoints:
     t_bound_to_ppt: float
 
 
-def _bisect_decreasing(f, lo=0.0, hi=1.0, iters=80):
+def _bisect_decreasing(f):
+    # root of a decreasing f on the dephasing range [0, 1]; 80 halvings
+    # reach the resolution of a double
+    lo, hi = 0.0, 1.0
     flo, fhi = f(lo), f(hi)
     if flo <= 0 or fhi > 0:
         raise BracketingError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
         )
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
             lo = mid
@@ -135,7 +136,7 @@ def _bisect_decreasing(f, lo=0.0, hi=1.0, iters=80):
     return 0.5 * (lo + hi)
 
 
-def transition_points(alpha, tol=DEFAULT_TOL, graph=None):
+def transition_points(alpha, tol=DEFAULT_TOL):
     """Locate where the end-qubit and middle-qubit negativities die out.
 
     Bisection on the dephasing strength p for the three-qubit chain model at
@@ -144,16 +145,12 @@ def transition_points(alpha, tol=DEFAULT_TOL, graph=None):
     PPT everywhere). Raises BracketingError when a curve never crosses,
     e.g. alpha = 0 where the channel is the identity.
     """
-    g = linear_graph(3) if graph is None else graph
-    if g.n_vertices != 3:
-        raise ValueError("transition analysis is defined for the 3-qubit chain")
-
     def end_neg(p):
-        rho = thermal_state_model(g, p, alpha)
+        rho = thermal_state_model(CHAIN, p, alpha)
         return min(negativity(rho, (0,), 3), negativity(rho, (2,), 3))
 
     def mid_neg(p):
-        return negativity(thermal_state_model(g, p, alpha), (1,), 3)
+        return negativity(thermal_state_model(CHAIN, p, alpha), (1,), 3)
 
     p_end = _bisect_decreasing(lambda p: end_neg(p) - tol)
     p_mid = _bisect_decreasing(lambda p: mid_neg(p) - tol)

@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import I2, X, Z, tensor_all
 
 __all__ = [
+    "CHAIN",
     "Graph",
     "SpectrumReport",
     "linear_graph",
@@ -56,6 +57,11 @@ def linear_graph(n):
     if n < 2:
         raise ValueError("linear graph needs n >= 2")
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+# the 3-qubit chain (A_p, B_s, B_p) that sweeps, preparation targets and
+# regime transitions are defined on
+CHAIN = linear_graph(3)
 
 
 def parse_graph(text):
@@ -145,7 +151,7 @@ def parent_hamiltonian(g, gap=1.0):
     All terms commute, H is frustration-free, and the graph state is its
     unique ground state at energy -n*gap/2.
     """
-    if gap <= 0:
+    if not gap > 0:
         raise ValueError("gap must be positive")
     n = g.n_vertices
     h = np.zeros((2**n, 2**n), dtype=complex)
@@ -165,7 +171,11 @@ class SpectrumReport:
     multiplicities_binomial: bool
 
 
-def verify_spectrum(g, gap=1.0, atol=1e-10):
+# absolute tolerance on energies when grouping and checking levels
+_LEVEL_ATOL = 1e-10
+
+
+def verify_spectrum(g, gap=1.0):
     """Dense eigensolve of the parent Hamiltonian, checked against theory.
 
     The exact levels are -(gap/2)(n - 2k) with multiplicity C(n, k): flipping
@@ -178,14 +188,14 @@ def verify_spectrum(g, gap=1.0, atol=1e-10):
     levels = []
     mults = []
     for ev in w:
-        if levels and abs(ev - levels[-1]) <= atol * max(1.0, abs(ev)):
+        if levels and abs(ev - levels[-1]) <= _LEVEL_ATOL * max(1.0, abs(ev)):
             mults[-1] += 1
         else:
             levels.append(float(ev))
             mults.append(1)
     expected = [(-0.5 * gap * (n - 2 * k), comb(n, k)) for k in range(n + 1)]
     matches = len(levels) == len(expected) and all(
-        abs(lv - elv) <= atol and m == em
+        abs(lv - elv) <= _LEVEL_ATOL and m == em
         for (lv, m), (elv, em) in zip(zip(levels, mults), expected)
     )
     spectral_gap = levels[1] - levels[0] if len(levels) > 1 else float("inf")
@@ -195,6 +205,6 @@ def verify_spectrum(g, gap=1.0, atol=1e-10):
         multiplicities=tuple(mults),
         gap=float(spectral_gap),
         ground_unique=mults[0] == 1,
-        gap_matches=abs(spectral_gap - gap) <= atol,
+        gap_matches=abs(spectral_gap - gap) <= _LEVEL_ATOL,
         multiplicities_binomial=matches,
     )

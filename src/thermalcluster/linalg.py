@@ -90,7 +90,7 @@ def _n_qubits(dim):
     return n
 
 
-def validate_density_matrix(rho, atol_herm=HERMITICITY_ATOL, atol_trace=TRACE_ATOL):
+def validate_density_matrix(rho):
     """Check Hermiticity, unit trace, and numerical positivity of ``rho``.
 
     Returns the array unchanged so calls can be chained. Raises ValueError
@@ -101,10 +101,10 @@ def validate_density_matrix(rho, atol_herm=HERMITICITY_ATOL, atol_trace=TRACE_AT
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > atol_herm:
+    if herm > HERMITICITY_ATOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {herm:.3e})")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > atol_trace:
+    if abs(tr - 1.0) > TRACE_ATOL:
         raise ValueError(f"trace is {tr!r}, expected 1")
     w_min = float(np.linalg.eigvalsh(rho)[0])
     if w_min < -EIG_CLAMP:

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import build_graph_state, linear_graph
+from .graphs import CHAIN, build_graph_state
 from .linalg import KETS, tensor_all
 
 __all__ = [
@@ -105,7 +105,7 @@ def _phase_fixed(v):
     return v * np.exp(-1j * np.angle(v[idx]))
 
 
-def target_map(g=None):
+def target_map():
     """Targets for every enabled basis pair and outcome, from the p=0 run.
 
     The target of (pair, outcomes) is DEFINED as the conditional state the
@@ -114,16 +114,12 @@ def target_map(g=None):
     unit vector}. Raises if the enabled set failed to cover all three axes
     (that would be a programming error, not bad input).
     """
-    g = linear_graph(3) if g is None else g
-    if g != linear_graph(3):
-        raise ValueError("targets are defined for the 3-qubit chain")
     return dict(_target_map_cached())
 
 
 @lru_cache(maxsize=1)
 def _target_map_cached():
-    g = linear_graph(3)
-    psi = build_graph_state(g)
+    psi = build_graph_state(CHAIN)
     rho0 = np.outer(psi, psi.conj())
     out = {}
     axes_hit = set()
@@ -218,7 +214,7 @@ def haar_average_fidelity(rho, n_samples, seed):
     bs0 = w.conj()
     bs1 = np.stack([-w[:, 1], w[:, 0]], axis=1)
 
-    psi0 = build_graph_state(linear_graph(3))
+    psi0 = build_graph_state(CHAIN)
     rho0 = np.outer(psi0, psi0.conj())
 
     total = np.zeros(n_samples)

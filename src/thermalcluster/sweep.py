@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import DEFAULT_TOL, classify_values, negativity
-from .graphs import Graph, format_graph, linear_graph
+from .graphs import CHAIN, format_graph
 from .linalg import fidelity
 from .mbqc import average_preparation_fidelity
 from .thermal import gibbs_state, p_from_temperature, temperature_from_p, thermal_state_model
@@ -62,7 +62,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    graph: Graph = field(default_factory=lambda: linear_graph(3))
     alpha: float = float(np.pi)
     p_grid: tuple | None = None
     t_grid: tuple | None = None
@@ -89,11 +88,6 @@ class SweepConfig:
                 raise ConfigError(f"t_grid values must be nonnegative: {bad}")
             if not self.t_grid:
                 raise ConfigError("t_grid is empty")
-        if self.graph != linear_graph(3):
-            raise ConfigError(
-                "sweep columns and the preparation protocol are specific to "
-                "the 3-qubit chain; graph must be linear_graph(3)"
-            )
         if self.tomography_enabled:
             if self.mc_samples < 2:
                 raise ConfigError("mc_samples must be >= 2 when tomography is enabled")
@@ -102,14 +96,17 @@ class SweepConfig:
                     f"mc_samples must be below {_SEED_STRIDE}, or the seed "
                     "streams of neighbouring points overlap"
                 )
-            if not self.flux > 0:
-                raise ConfigError("flux must be positive when tomography is enabled")
+            if not 0 < self.flux < np.inf:
+                raise ConfigError("flux must be positive and finite when tomography is enabled")
+            if self.seed < 0:
+                raise ConfigError("seed must be nonnegative when tomography is enabled")
         return self
 
     def config_hash(self):
         """Short content hash identifying the config in output provenance."""
         payload = {
-            "graph": format_graph(self.graph),
+            # every sweep runs on the chain; the entry keeps hashes stable
+            "graph": format_graph(CHAIN),
             "alpha": repr(float(self.alpha)),
             "p_grid": [repr(float(p)) for p in self.p_grid] if self.p_grid else None,
             "t_grid": [repr(float(t)) for t in self.t_grid] if self.t_grid else None,
@@ -147,27 +144,10 @@ def _grid_points(cfg):
     return [(p_from_temperature(t), float(t)) for t in cfg.t_grid]
 
 
-def _model_point(cfg, p, t):
-    model = thermal_state_model(cfg.graph, p, cfg.alpha)
-    negs = [negativity(model, c, 3) for c in _CUTS]
-    return SweepPoint(
-        p=p, t_over_delta=t,
-        neg_ap=negs[0], neg_bp=negs[1], neg_bs=negs[2],
-        err_ap=0.0, err_bp=0.0, err_bs=0.0,
-        klass=classify_values(negs, [DEFAULT_TOL] * 3),
-        avg_fidelity=average_preparation_fidelity(model),
-        fid_error=0.0,
-        state_fidelity_vs_ideal=fidelity(model, gibbs_state(cfg.graph, 1.0, t)),
-    )
-
-
-def _tomography_point(cfg, p, t, rho_hat, resampled):
-    negs = [negativity(rho_hat, c, 3) for c in _CUTS]
-    samples = np.array([
-        [negativity(rho_k, c, 3) for c in _CUTS] + [average_preparation_fidelity(rho_k)]
-        for rho_k in resampled
-    ])
-    errs = np.std(samples, axis=0, ddof=1)
+def _row(p, t, rho, errs=(0.0,) * 4):
+    # errs: the error bars of the three negativities and of the preparation
+    # fidelity, zero for a model row
+    negs = [negativity(rho, c, 3) for c in _CUTS]
     # classification significance at one Monte Carlo standard deviation
     tols = [max(e, DEFAULT_TOL) for e in errs[:3]]
     return SweepPoint(
@@ -175,9 +155,9 @@ def _tomography_point(cfg, p, t, rho_hat, resampled):
         neg_ap=negs[0], neg_bp=negs[1], neg_bs=negs[2],
         err_ap=float(errs[0]), err_bp=float(errs[1]), err_bs=float(errs[2]),
         klass=classify_values(negs, tols),
-        avg_fidelity=average_preparation_fidelity(rho_hat),
+        avg_fidelity=average_preparation_fidelity(rho),
         fid_error=float(errs[3]),
-        state_fidelity_vs_ideal=fidelity(rho_hat, gibbs_state(cfg.graph, 1.0, t)),
+        state_fidelity_vs_ideal=fidelity(rho, gibbs_state(CHAIN, t)),
     )
 
 
@@ -186,21 +166,25 @@ def run_sweep(cfg):
     cfg.validate()
     pts = _grid_points(cfg)
     if not cfg.tomography_enabled:
-        return [_model_point(cfg, p, t) for p, t in pts]
+        return [_row(p, t, thermal_state_model(CHAIN, p, cfg.alpha)) for p, t in pts]
     settings = standard_settings(3)
     recs = []
     for i, (p, _) in enumerate(pts):
-        model = thermal_state_model(cfg.graph, p, cfg.alpha)
+        model = thermal_state_model(CHAIN, p, cfg.alpha)
         point_seed = cfg.seed + i * _SEED_STRIDE
         rec = simulate_counts(model, settings, cfg.flux, seed=point_seed)
         recs.append(rec)
         recs += [_resample(rec, point_seed + 1 + k) for k in range(cfg.mc_samples)]
     rhos = [res.rho for res in _mle_batch(recs)]
     n = 1 + cfg.mc_samples
-    return [
-        _tomography_point(cfg, p, t, rhos[i * n], rhos[i * n + 1 : (i + 1) * n])
-        for i, (p, t) in enumerate(pts)
-    ]
+    rows = []
+    for i, (p, t) in enumerate(pts):
+        samples = np.array([
+            [negativity(rho_k, c, 3) for c in _CUTS] + [average_preparation_fidelity(rho_k)]
+            for rho_k in rhos[i * n + 1 : (i + 1) * n]
+        ])
+        rows.append(_row(p, t, rhos[i * n], np.std(samples, axis=0, ddof=1)))
+    return rows
 
 
 def _fmt(x):

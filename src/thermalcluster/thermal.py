@@ -70,11 +70,11 @@ def temperature_from_p(p):
     return float(1.0 / (np.log(2.0 - p) - np.log(p)))
 
 
-def gibbs_state(g, gap=1.0, t_over_delta=0.0):
+def gibbs_state(g, t_over_delta):
     """e^(-H/T) / Tr e^(-H/T) for the parent Hamiltonian of ``g``.
 
-    The exponent is dimensionless, -H / (gap * t_over_delta), so the result
-    depends on the graph and t_over_delta only.
+    The state depends on the graph and the ratio T/Delta only, so H is
+    built with gap 1 and the exponent is -H / t_over_delta.
     """
     t = float(t_over_delta)
     if t < 0:
@@ -85,10 +85,10 @@ def gibbs_state(g, gap=1.0, t_over_delta=0.0):
         return np.outer(psi, psi.conj())
     if np.isinf(t):
         return np.eye(dim, dtype=complex) / dim
-    h = parent_hamiltonian(g, gap)
+    h = parent_hamiltonian(g)
     # shift by the ground energy before exponentiating to avoid overflow
     shift = float(np.linalg.eigvalsh(h)[0])
-    rho = hermitian_expm(h - shift * np.eye(dim), -1.0 / (gap * t))
+    rho = hermitian_expm(h - shift * np.eye(dim), -1.0 / t)
     return rho / np.trace(rho).real
 
 

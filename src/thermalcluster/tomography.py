@@ -10,7 +10,8 @@ backtracking and momentum restarts, after Shang, Zhang and Ng, PRA 95,
 062336 (2017)) and certified by the Frank-Wolfe gap, an upper bound on how
 far the returned log-likelihood lies below the maximum (cf. Glancy, Knill
 and Girard, NJP 14, 095017 (2012)). Error bars come from Monte Carlo
-resampling of the counts, the standard procedure for coincidence data.
+resampling of the counts, the standard procedure for coincidence data, with
+every resample reconstructed by maximum likelihood.
 
 Both reconstructions and the count model use the same linear maps, built
 once per settings tuple and cached: row s of the (S, d*d) matrix P is
@@ -174,8 +175,8 @@ class CountRecord:
             )
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
-        if not self.flux > 0:
-            raise ValueError("flux must be positive")
+        if not 0 < self.flux < np.inf:
+            raise ValueError("flux must be positive and finite")
         if not self.settings:
             raise ValueError("a count record needs at least one setting")
         if len({len(s) for s in self.settings}) > 1:
@@ -238,8 +239,8 @@ def expected_probabilities(rho, settings):
 
 def simulate_counts(rho, settings, flux, seed):
     """Draw one Poisson count per setting with mean flux * Tr(rho * Pi)."""
-    if not flux > 0:
-        raise ValueError("flux must be positive")
+    if not 0 < flux < np.inf:
+        raise ValueError("flux must be positive and finite")
     means = np.clip(expected_probabilities(rho, settings), 0.0, None) * flux
     rng = np.random.default_rng(seed)
     counts = rng.poisson(means).astype(float)
@@ -271,12 +272,12 @@ def _project_to_states(m):
     return (v * np.maximum(w - tau, 0.0)[..., None, :]) @ v.conj().mT
 
 
-def linear_inversion(rec, project=True):
+def linear_inversion(rec):
     """Least-squares inversion of flux * Tr(rho Pi_s) = counts.
 
-    The unconstrained solve returns the Hermitian unit-trace least-squares
-    estimate, which can have negative eigenvalues; with ``project=True``
-    (the default) the eigenvalues are clipped to the nearest physical state.
+    The unconstrained solve gives the Hermitian unit-trace least-squares
+    estimate, which can have negative eigenvalues; it is projected onto the
+    nearest physical state (its eigenvalues onto the probability simplex).
     All-zero counts reconstruct to the maximally mixed state by convention.
     """
     maps = _linear_maps(rec.settings)
@@ -285,10 +286,10 @@ def linear_inversion(rec, project=True):
         return ReconstructionResult(rho=np.eye(d, dtype=complex) / d, method="LINEAR")
     if maps.rank < d * d:
         raise ValueError("settings are not informationally complete (rank-deficient)")
-    return ReconstructionResult(rho=_linear_estimate(maps, rec, project), method="LINEAR")
+    return ReconstructionResult(rho=_linear_estimate(maps, rec), method="LINEAR")
 
 
-def _linear_estimate(maps, rec, project=True):
+def _linear_estimate(maps, rec):
     d = maps.d
     rho = ((rec.counts / rec.flux) @ maps.lin).view(np.complex128).reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
@@ -297,9 +298,7 @@ def _linear_estimate(maps, rec, project=True):
         rho = np.eye(d, dtype=complex) / d
     else:
         rho = rho / tr
-    if project:
-        rho = _project_to_states(rho)
-    return rho
+    return _project_to_states(rho)
 
 
 def _gradient(pf, d, counts, q, flux, pos):
@@ -357,9 +356,11 @@ def _result(x, q, gap, start, rec, iterations, converged):
 
 # backtracking halvings of the step size allowed in one iteration
 _MAX_HALVINGS = 60
+# certified stop of both MLE solvers: Frank-Wolfe gap <= MLE_TOL per count
+MLE_TOL = 1e-9
 
 
-def mle_reconstruct(rec, max_iter=1500, tol=1e-9):
+def mle_reconstruct(rec, max_iter=1500):
     """Poisson maximum-likelihood reconstruction with an optimality certificate.
 
     Maximizes log L(rho) = sum_s c_s log(flux q_s) - flux sum_s q_s over
@@ -381,10 +382,11 @@ def mle_reconstruct(rec, max_iter=1500, tol=1e-9):
     ``gap`` is the Frank-Wolfe gap lambda_max(G) - Tr(rho G) of the
     likelihood gradient G at the returned state. Because log L is concave,
     it bounds the shortfall: max log L - log_likelihood <= gap. Two stops
-    set ``converged=True``: the certified stop, gap <= tol * N with N the
-    total count (``tol`` is a log-likelihood tolerance per count, so it does
-    not depend on the flux), and the stationary stop, three consecutive
-    iterations in which no ascent step is representable in floating point.
+    set ``converged=True``: the certified stop, gap <= MLE_TOL * N with N
+    the total count and the fixed tolerance MLE_TOL = 1e-9 (a log-likelihood
+    tolerance per count, so it does not depend on the flux), and the
+    stationary stop, three consecutive iterations in which no ascent step is
+    representable in floating point.
     ``converged`` is False only when ``max_iter`` runs out first. All-zero
     counts give the maximally mixed state with gap 0 by convention. The
     output is always a valid density matrix.
@@ -430,7 +432,7 @@ def mle_reconstruct(rec, max_iter=1500, tol=1e-9):
             x_prev, q_prev, x, qx = x, qx, cand, q_cand
             stalls = 0
             gap = _fw_gap(_gradient(pf, d, counts, qx, flux, pos), n_total, flux, qx)
-            if gap <= tol * n_total:
+            if gap <= MLE_TOL * n_total:
                 converged = True
                 break
             nxt = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
@@ -452,7 +454,7 @@ def mle_reconstruct(rec, max_iter=1500, tol=1e-9):
     return _result(x, qx, gap, start, rec, iterations, converged)
 
 
-def _mle_batch(recs, max_iter=1500, tol=1e-9):
+def _mle_batch(recs, max_iter=1500):
     """``mle_reconstruct`` on each of many records that share one settings tuple.
 
     The records run in lockstep: each round projects one backtracking trial
@@ -534,7 +536,7 @@ def _mle_batch(recs, max_iter=1500, tol=1e-9):
         x[i], qx[i] = trial[i], q_trial[i]
         stalls[i] = 0
         gap[i] = certify(i)
-        converged[i] = gap[i] <= tol * nt[i]
+        converged[i] = gap[i] <= MLE_TOL * nt[i]
         i = i[~converged[i]]
         m = momentum[i]
         nxt = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * m * m))
@@ -584,45 +586,34 @@ def _resample(rec, seed):
     return CountRecord(settings=rec.settings, counts=counts, flux=rec.flux, seed=seed)
 
 
-def monte_carlo_states(rec, n_samples, seed, method="mle", project=True):
-    """Yield reconstructions of Poisson-resampled count records.
+def monte_carlo_states(rec, n_samples, seed):
+    """Yield MLE reconstructions of Poisson-resampled count records.
 
     Sample k draws counts ~ Poisson(mean = observed counts) from the
     generator seeded with seed + k, so the stream is independent of any
-    scheduling or chunking of the consumer. With ``method="mle"`` all
-    samples are solved in one lockstep batch before the first is yielded;
-    a sample's state does not depend on the others in its batch, so sample
-    k of seed s is bit for bit sample k - 1 of seed s + 1.
+    scheduling or chunking of the consumer. All samples are solved in one
+    lockstep ``_mle_batch`` before the first is yielded; a sample's state
+    does not depend on the others in its batch, so sample k of seed s is
+    bit for bit sample k - 1 of seed s + 1.
     """
-    if method == "mle":
-        samples = [_resample(rec, seed + k) for k in range(n_samples)]
-        try:
-            results = _mle_batch(samples)
-        except Exception as exc:
-            raise RuntimeError("reconstruction of the resamples failed") from exc
-        for res in results:
-            yield res.rho
-        return
-    if method != "linear":
-        raise ValueError(f"unknown reconstruction method {method!r}")
-    for k in range(n_samples):
-        try:
-            yield linear_inversion(_resample(rec, seed + k), project=project).rho
-        except Exception as exc:
-            raise RuntimeError(f"reconstruction failed for resample {k}") from exc
+    samples = [_resample(rec, seed + k) for k in range(n_samples)]
+    try:
+        results = _mle_batch(samples)
+    except Exception as exc:
+        raise RuntimeError("reconstruction of the resamples failed") from exc
+    for res in results:
+        yield res.rho
 
 
-def monte_carlo_statistic(rec, statistic, n_samples, seed, method="mle", project=True):
+def monte_carlo_statistic(rec, statistic, n_samples, seed):
     """Mean and standard deviation of a statistic over count resamples.
 
     The usual error-bar procedure for counting experiments: resample every
     count from a Poisson distribution centered on the observed value,
-    reconstruct, and evaluate the statistic. Returns (mean, sample std).
+    reconstruct each resample by maximum likelihood, and evaluate the
+    statistic. Returns (mean, sample std).
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard deviation")
-    vals = [
-        float(statistic(rho))
-        for rho in monte_carlo_states(rec, n_samples, seed, method, project)
-    ]
+    vals = [float(statistic(rho)) for rho in monte_carlo_states(rec, n_samples, seed)]
     return float(np.mean(vals)), float(np.std(vals, ddof=1))

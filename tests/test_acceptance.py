@@ -44,7 +44,7 @@ def test_criterion_1_thermal_equivalence():
     for n in (2, 3, 4):
         g = linear_graph(n)
         for p in np.linspace(0.0, 1.0, 101):
-            via_gibbs = gibbs_state(g, 1.0, temperature_from_p(p))
+            via_gibbs = gibbs_state(g, temperature_from_p(p))
             via_channel = thermal_state_model(g, p, np.pi)
             worst = max(worst, float(np.abs(via_gibbs - via_channel).max()))
     elapsed = time.time() - t_start

@@ -14,8 +14,9 @@ def test_parse_alpha():
     assert parse_alpha("-pi") == -math.pi
     assert parse_alpha("2.64") == 2.64
     assert parse_alpha(1.5) == 1.5
-    with pytest.raises(ConfigError):
-        parse_alpha("two pies")
+    for bad in ("two pies", "nan", "inf", "-infpi", "1e400"):
+        with pytest.raises(ConfigError):
+            parse_alpha(bad)
 
 
 def test_parse_grid():
@@ -84,6 +85,26 @@ def test_config_errors_exit_1(tmp_path, capsys):
     cfg.write_text('{"p_grid": [0.2], "workers": 2}')
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "workers" in capsys.readouterr().err
+    # every sweep runs on the 3-qubit chain: there is no graph to set
+    cfg.write_text('{"p_grid": [0.2], "graph": "3; 0-1,1-2"}')
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "graph" in capsys.readouterr().err
+    # extreme values are configuration errors, not numerical failures
+    for argv in (
+        ["mbqc", "--t", "1", "--alpha", "nan"],
+        ["sweep", "--p-grid", "0.5", "--alpha", "nan"],
+        ["sweep", "--p-grid", "0.5", "--alpha", "inf"],
+        ["sweep", "--p-grid", "0.5", "--tomography", "--flux", "inf"],
+        ["sweep", "--p-grid", "0.5", "--tomography", "--flux", "nan"],
+        ["tomo", "--t", "1", "--flux", "inf"],
+        ["tomo", "--t", "1", "--flux", "nan"],
+        ["sweep", "--p-grid", "0.5", "--tomography", "--seed", "-1"],
+        ["tomo", "--t", "1", "--seed", "-1"],
+        ["spectrum", "--gap", "0"],
+        ["spectrum", "--gap", "-1"],
+        ["spectrum", "--gap", "nan"],
+    ):
+        assert main(argv) == 1, argv
     assert main(["nonsense"]) == 1
     assert main([]) == 1
     err = capsys.readouterr().err
@@ -110,6 +131,10 @@ def test_count_file_errors_exit_1(tmp_path, capsys):
     one_qubit.write_text("# flux = 10.0\nz0,5\nz1,3\nx+,4\ny+,2\n")
     assert main(["tomo", "--t", "1.0", "--load-counts", str(one_qubit)]) == 1
     assert "3-qubit" in capsys.readouterr().err
+    infinite = tmp_path / "infinite.txt"
+    infinite.write_text("# flux = inf\nz0z0z0,5\n")
+    assert main(["tomo", "--t", "1.0", "--load-counts", str(infinite)]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_spectrum_subcommand(capsys):

@@ -3,9 +3,8 @@ import json
 import pathlib
 
 import numpy as np
-import pytest
 
-from thermalcluster.graphs import Graph, build_graph_state, linear_graph
+from thermalcluster.graphs import build_graph_state, linear_graph
 from thermalcluster.linalg import KETS
 from thermalcluster.mbqc import (
     ENABLED_PAIRS,
@@ -40,13 +39,6 @@ def test_target_map_matches_golden_table():
         vec = tm[(bp, bs, int(op), int(os_))]
         overlap = abs(np.vdot(KETS[label], vec))
         assert abs(overlap - 1.0) < 1e-9, (key_txt, label)
-
-
-def test_target_map_rejects_other_graphs():
-    with pytest.raises(ValueError):
-        target_map(linear_graph(4))
-    with pytest.raises(ValueError):
-        target_map(Graph(3, edges=frozenset({(0, 2), (1, 2)})))
 
 
 def test_excluded_pair_has_impossible_outcomes():

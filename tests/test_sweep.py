@@ -5,7 +5,6 @@ import pytest
 
 from thermalcluster import __version__
 from thermalcluster.entanglement import BOUND, FREE, PPT_ALL
-from thermalcluster.graphs import linear_graph
 from thermalcluster.sweep import (
     CSV_COLUMNS,
     ConfigError,
@@ -43,8 +42,6 @@ def test_config_field_validation():
     SweepConfig(
         p_grid=(0.5,), tomography_enabled=True, mc_samples=_SEED_STRIDE - 1
     ).validate()
-    with pytest.raises(ConfigError, match="chain"):
-        SweepConfig(graph=linear_graph(4), p_grid=(0.5,)).validate()
 
 
 def test_config_hash_ignores_workers():
