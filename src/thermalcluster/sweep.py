@@ -9,8 +9,8 @@ classification thresholds replaced by those error bars.
 
 A tomography sweep first draws every count record it needs, each point's
 record followed by its Monte Carlo resamples, and then solves them all in
-one lockstep maximum-likelihood batch, whose results do not depend on how
-the records are batched.
+one batched maximum-likelihood call, in which every record takes its Newton
+steps alongside the others and gets the result it would get alone.
 
 Output is deterministic byte for byte for a fixed config: all randomness is
 seeded, points are ordered by grid index, and emitted files carry no
@@ -74,6 +74,8 @@ class SweepConfig:
     workers: int | None = None
 
     def validate(self):
+        if not -np.inf < self.alpha < np.inf:
+            raise ConfigError("alpha must be finite")
         if (self.p_grid is None) == (self.t_grid is None):
             raise ConfigError("provide exactly one of p_grid / t_grid")
         if self.p_grid is not None:

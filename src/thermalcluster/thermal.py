@@ -108,6 +108,8 @@ def thermal_state_model(g, p, alpha=np.pi):
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if not -np.inf < alpha < np.inf:
+        raise ValueError("alpha must be finite")
     psi = build_graph_state(g)
     # one qubit's factor: entry [b_i, b_j]; b_i = 0, b_j = 1 gives e^(-i*alpha)
     c = (1.0 - p / 2.0) + (p / 2.0) * np.exp(-1j * alpha)

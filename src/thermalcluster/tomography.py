@@ -5,28 +5,25 @@ projector setting the detector registers a Poisson-distributed number of
 coincidences with mean flux * Tr(rho * Pi). Reconstruction is offered both
 as least-squares linear inversion (with eigenvalue clipping to the physical
 set) and as Poisson maximum likelihood. The likelihood is concave in rho,
-so the MLE is found by accelerated projected gradient ascent (FISTA with
-backtracking and momentum restarts, after Shang, Zhang and Ng, PRA 95,
-062336 (2017)) and certified by the Frank-Wolfe gap, an upper bound on how
-far the returned log-likelihood lies below the maximum (cf. Glancy, Knill
-and Girard, NJP 14, 095017 (2012)). Error bars come from Monte Carlo
-resampling of the counts, the standard procedure for coincidence data, with
-every resample reconstructed by maximum likelihood.
+so the MLE is found by Newton's method on a log-det barrier path (Boyd and
+Vandenberghe, Convex Optimization, 2004, ch. 11) and certified by the
+Frank-Wolfe gap, an upper bound on how far the returned log-likelihood lies
+below the maximum (cf. Glancy, Knill and Girard, NJP 14, 095017 (2012)).
+Error bars come from Monte Carlo resampling of the counts, the standard
+procedure for coincidence data, with every resample reconstructed by
+maximum likelihood.
 
 Both reconstructions and the count model use the same linear maps, built
 once per settings tuple and cached: row s of the (S, d*d) matrix P is
 Pi_s flattened, so the probabilities are q = Re(conj(P) vec rho) and the
 gradient of the likelihood is sum_s w_s Pi_s = (w P) reshaped.
 
-Many records on one settings tuple (a sweep's records and their Monte Carlo
-resamples) are solved by a lockstep variant of the same MLE: each round
-projects one trial per unfinished record with a single batched ``eigh``,
-and every record keeps its own step size, momentum and stops. The
-projection, the probability map, the gradient and the step test are shared
-by both solvers and work on one state or a stack. In a stack every
-product is taken per record, never across records, so a record's result
-is the same bit for bit alone or in any batch, and its log-likelihood
-agrees with ``mle_reconstruct``'s within the reported gap.
+The solver works on a stack of records that share one settings tuple (a
+sweep's records and their Monte Carlo resamples); one record is a stack of
+one. Every unfinished record takes a Newton step in each round, with one
+batched ``eigh``, ``solve`` and ``eigvalsh`` for the whole stack. Every
+product is taken per record, never across records, so a record's result is
+the same bit for bit alone or in any batch.
 
 All randomness flows from explicit integer seeds; nothing reads ambient
 entropy, so every pipeline built on this module is reproducible bit for bit.
@@ -84,10 +81,15 @@ def mub_settings(n):
 
 def setting_projector(setting):
     """Rank-1 product projector for one setting."""
+    v = _setting_ket(setting)
+    return np.outer(v, v.conj())
+
+
+def _setting_ket(setting):
     v = np.array([1.0 + 0.0j])
     for lab in setting:
         v = np.kron(v, KETS[lab])
-    return np.outer(v, v.conj())
+    return v
 
 
 def projector_stack(settings):
@@ -104,11 +106,16 @@ class _LinearMaps:
     # q = pf @ (rho viewed as real), and w @ pf viewed as complex is
     # sum_s w_s Pi_s. lin: the transposed pseudo-inverse of conj(P) in the
     # same real view, so b @ lin is the least-squares solution of
-    # Tr(rho Pi_s) = b_s. All arrays are read-only: every caller shares them.
+    # Tr(rho Pi_s) = b_s. kets: (S, d), row s the ket v_s of Pi_s = v_s v_s^H.
+    # diag: (d, d - 1), columns the diagonals of the orthonormal traceless
+    # diagonal generators (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)).
+    # All arrays are read-only: every caller shares them.
     d: int
     rank: int
     pf: np.ndarray
     lin: np.ndarray
+    kets: np.ndarray
+    diag: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -118,9 +125,14 @@ def _cached_maps(settings):
     p = pi.reshape(s, d * d)
     lin = np.ascontiguousarray(np.linalg.pinv(p.conj()).T)
     pf, lin = p.view(np.float64), lin.view(np.float64)
-    pf.flags.writeable = False
-    lin.flags.writeable = False
-    return _LinearMaps(d=d, rank=int(np.linalg.matrix_rank(p)), pf=pf, lin=lin)
+    kets = np.array([_setting_ket(st) for st in settings])
+    k = np.arange(1, d)
+    diag = (np.triu(np.ones((d, d - 1))) - np.eye(d, d - 1, -1) * k) / np.sqrt(k * (k + 1))
+    for arr in (pf, lin, kets, diag):
+        arr.flags.writeable = False
+    return _LinearMaps(
+        d=d, rank=int(np.linalg.matrix_rank(p)), pf=pf, lin=lin, kets=kets, diag=diag
+    )
 
 
 def _linear_maps(settings):
@@ -173,8 +185,8 @@ class CountRecord:
                 f"{counts.shape[0] if counts.ndim else 0} counts for "
                 f"{len(self.settings)} settings"
             )
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
+        if not np.all((counts >= 0) & (counts < np.inf)):
+            raise ValueError("counts must be nonnegative and finite")
         if not 0 < self.flux < np.inf:
             raise ValueError("flux must be positive and finite")
         if not self.settings:
@@ -301,282 +313,185 @@ def _linear_estimate(maps, rec):
     return _project_to_states(rho)
 
 
-def _gradient(pf, d, counts, q, flux, pos):
-    # G = sum_s (c_s / q_s - flux) Pi_s for one record or a stack of them;
-    # a setting with no counts (pos False) adds -flux Pi_s whatever its q_s
-    w = counts / np.where(pos, q, 1.0) - flux
-    return (w[..., None, :] @ pf).view(np.complex128).reshape(*w.shape[:-1], d, d)
-
-
-def _fw_gap(grad, n_total, flux, q):
-    # lambda_max(G) - Tr(rho G), with Tr(rho G) = sum_s (c_s / q_s - flux) q_s
-    # = N - flux sum_s q_s
+def _fw_gap(pf, d, w, n_total, flux, q):
+    # lambda_max(G) - Tr(rho G) for the likelihood gradient
+    # G = sum_s w_s Pi_s, w_s = c_s / q_s - flux, of one record or a stack;
+    # Tr(rho G) = sum_s (c_s / q_s - flux) q_s = N - flux sum_s q_s
+    grad = (w[..., None, :] @ pf).view(np.complex128).reshape(*w.shape[:-1], d, d)
     lam_max = np.linalg.eigvalsh(grad)[..., -1]
     return np.maximum(0.0, lam_max - (n_total - flux * q.sum(axis=-1)))
 
 
-def _lower_model_holds(c, r, step, eta):
-    # log L(trial) - [log L(y) + <G(y), trial - y>] >= -|trial - y|^2 / (2 eta)
-    # with r = q_trial / q_y - 1; the flux terms cancel exactly, leaving
-    # this Bregman form
-    s = step.reshape(*step.shape[:-2], step.shape[-2] * step.shape[-1])
-    return np.vecdot(c, np.log1p(r) - r) >= -np.vecdot(s, s).real / (2.0 * eta)
-
-
-def _gain(c, r, flux, dq):
-    # log L(q + dq) - log L(q) with r = dq / q, computed from log1p so it
-    # stays exact where |log L| ~ 1e8 and one ulp of it exceeds the gain
-    return np.vecdot(c, np.log1p(r)) - flux * dq.sum(axis=-1)
-
-
-def _start(maps, rec):
-    # projected linear inversion when the settings are informationally
-    # complete and it has a finite likelihood, else the maximally mixed state
-    if maps.rank == maps.d * maps.d and rec.counts.any():
-        x = _linear_estimate(maps, rec)
-        q = _probabilities(maps.pf, x)
-        if np.all(q[rec.counts > 0] > 0):
-            return x, q
-    x = np.eye(maps.d, dtype=complex) / maps.d
-    return x, _probabilities(maps.pf, x)
-
-
-def _result(x, q, gap, start, rec, iterations, converged):
+def _result(rho, q, gap, rec, maps, iterations, converged):
     ll = _log_likelihood(q, rec.counts, rec.flux)
-    x0, q0, gap0 = start
-    ll0 = _log_likelihood(q0, rec.counts, rec.flux)
-    if ll < ll0:
-        # the whole ascent was below the rounding of log L itself
-        x, ll, gap = x0, ll0, gap0
+    if maps.rank == maps.d * maps.d and rec.counts.any():
+        # projected linear inversion, if the solver ended below it; gap still
+        # bounds max log L - ll, as ll only grows
+        lin = _linear_estimate(maps, rec)
+        ll_lin = _log_likelihood(_probabilities(maps.pf, lin), rec.counts, rec.flux)
+        if ll < ll_lin:
+            rho, ll = lin, ll_lin
     return ReconstructionResult(
-        rho=x, method="MLE", iterations=int(iterations),
+        rho=rho, method="MLE", iterations=int(iterations),
         log_likelihood=ll, converged=bool(converged), gap=float(gap),
     )
 
 
-# backtracking halvings of the step size allowed in one iteration
-_MAX_HALVINGS = 60
-# certified stop of both MLE solvers: Frank-Wolfe gap <= MLE_TOL per count
+def _rotated_map(wk, iu, ju, g):
+    # (..., S, d*d - 1): entry (s, k) is Tr(Pi_s U B_k U^H) = <w_s|B_k|w_s>,
+    # w_s = U^H v_s the rows of wk, for the basis B_k of _mle_batch
+    z = wk[..., iu]
+    np.conjugate(z, out=z)
+    z *= wk[..., ju]
+    a = np.concatenate([z.real, z.imag, (wk.real**2 + wk.imag**2) @ g], axis=-1)
+    a[..., : 2 * iu.size] *= np.sqrt(2.0)
+    return a
+
+
+# certified stop of the MLE: Frank-Wolfe gap <= MLE_TOL per count
 MLE_TOL = 1e-9
+# fraction of the Newton decrement a line-search step must gain (Armijo),
+# and the halvings of the step tried before a record stays put for a step
+_ARMIJO = 0.25
+_LINE_SEARCH_STEPS = 40
+# records solved together; the Newton system takes about 150 KB per record
+_BATCH = 16
 
 
-def mle_reconstruct(rec, max_iter=1500):
+def mle_reconstruct(rec, max_iter=200):
     """Poisson maximum-likelihood reconstruction with an optimality certificate.
 
     Maximizes log L(rho) = sum_s c_s log(flux q_s) - flux sum_s q_s over
-    density matrices by accelerated projected gradient ascent (FISTA): a
-    gradient step from an extrapolated point, then the eigenvalues projected
-    onto the probability simplex. The start is projected linear inversion
-    when the settings are informationally complete and that state has a
-    finite likelihood, else the maximally mixed state. The step size is
-    found by backtracking on the quadratic lower model of the concave
-    likelihood, and grows 1.5x after each accepted step. The momentum
-    restarts whenever a step would lower log L, so the iterates ascend
-    monotonically and the returned state is the best one seen. Likelihood
-    changes are computed from log1p of relative probability changes, which
-    stays exact at high flux, where |log L| ~ 1e8 and one unit in its last
-    place exceeds a late step's gain. If the whole ascent is smaller than
-    the rounding of ``log_likelihood`` itself, the start is returned, so the
-    reported likelihood is never below the start's.
+    density matrices by Newton's method on the log-det barrier path (Boyd
+    and Vandenberghe, Convex Optimization, 2004, ch. 11). Each Newton step
+    maximizes log L(rho) + mu log det rho over rho + sum_k x_k B~_k, where
+    the B~_k are an orthonormal basis of the traceless Hermitian matrices
+    taken in the eigenbasis of rho, so the trace stays 1 and the barrier's
+    Hessian has a closed form. The path starts at I/d with mu = N/d^2, N the
+    total count. A backtracking line search keeps rho positive definite and
+    asks for a quarter of the predicted ascent, computed from log1p of the
+    relative probability changes so that it stays exact at high flux, where
+    |log L| ~ 1e8. mu falls tenfold whenever the squared Newton decrement is
+    below mu/2, that is near the maximum of the barrier problem, which lies
+    at most d mu below max log L. If projected linear inversion (on
+    informationally complete settings) has a higher likelihood than the
+    last iterate, it is returned instead.
 
-    ``gap`` is the Frank-Wolfe gap lambda_max(G) - Tr(rho G) of the
-    likelihood gradient G at the returned state. Because log L is concave,
-    it bounds the shortfall: max log L - log_likelihood <= gap. Two stops
-    set ``converged=True``: the certified stop, gap <= MLE_TOL * N with N
-    the total count and the fixed tolerance MLE_TOL = 1e-9 (a log-likelihood
-    tolerance per count, so it does not depend on the flux), and the
-    stationary stop, three consecutive iterations in which no ascent step is
-    representable in floating point.
-    ``converged`` is False only when ``max_iter`` runs out first. All-zero
-    counts give the maximally mixed state with gap 0 by convention. The
-    output is always a valid density matrix.
+    ``gap`` bounds the shortfall: max log L - log_likelihood <= gap. It is
+    the Frank-Wolfe gap lambda_max(G) - Tr(rho G) of the likelihood gradient
+    G at the last iterate, a bound because log L is concave. The solver
+    stops with ``converged=True`` at gap <= MLE_TOL * N, with the fixed
+    tolerance MLE_TOL = 1e-9 (a log-likelihood tolerance per count, so it
+    does not depend on the flux); ``converged`` is False when ``max_iter``
+    Newton steps run out first. All-zero counts give the maximally mixed
+    state with gap 0 by convention. The output is always a valid density
+    matrix.
     """
-    maps = _linear_maps(rec.settings)
-    pf, d = maps.pf, maps.d
-    counts, flux = rec.counts, rec.flux
-    n_total = counts.sum()
-    x, qx = _start(maps, rec)
-    if n_total == 0:
-        return _result(x, qx, 0.0, (x, qx, 0.0), rec, 0, True)
-    pos = counts > 0
-    # the settings with counts; a slice when that is all of them, as a
-    # view is cheaper to index than a mask
-    sel = slice(None) if pos.all() else pos
-    c = counts[sel]
-    gap = _fw_gap(_gradient(pf, d, counts, qx, flux, pos), n_total, flux, qx)
-    start = x, qx, gap
-    x_prev, q_prev = x, qx
-    y, qy = x, qx
-    momentum = 1.0
-    eta = 1.0 / flux
-    stalls = 0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        g = _gradient(pf, d, counts, qy, flux, pos)
-        cand = None
-        for _ in range(_MAX_HALVINGS):
-            trial = _project_to_states(y + eta * g)
-            q_trial = _probabilities(pf, trial)
-            if (q_trial[sel] > 0).all():
-                r = (q_trial[sel] - qy[sel]) / qy[sel]
-                if _lower_model_holds(c, r, trial - y, eta):
-                    cand, q_cand = trial, q_trial
-                    break
-            eta *= 0.5
-        if cand is not None:
-            eta *= 1.5
-            dq = q_cand - qx
-            gain = _gain(c, dq[sel] / qx[sel], flux, dq)
-        if cand is not None and gain > 0:
-            x_prev, q_prev, x, qx = x, qx, cand, q_cand
-            stalls = 0
-            gap = _fw_gap(_gradient(pf, d, counts, qx, flux, pos), n_total, flux, qx)
-            if gap <= MLE_TOL * n_total:
-                converged = True
-                break
-            nxt = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-            beta = (momentum - 1.0) / nxt
-            momentum = nxt
-            y = x + beta * (x - x_prev)
-            qy = qx + beta * (qx - q_prev)
-            if not (qy[sel] > 0).all():
-                y, qy, momentum = x, qx, 1.0
-        elif y is not x:
-            # the extrapolated step would lower log L: restart the momentum
-            y, qy, momentum = x, qx, 1.0
-        else:
-            # no ascent step from x is representable
-            stalls += 1
-            if stalls == 3:
-                converged = True
-                break
-    return _result(x, qx, gap, start, rec, iterations, converged)
+    return _mle_batch([rec], max_iter)[0]
 
 
-def _mle_batch(recs, max_iter=1500):
+def _mle_batch(recs, max_iter=200):
     """``mle_reconstruct`` on each of many records that share one settings tuple.
 
-    The records run in lockstep: each round projects one backtracking trial
-    per unfinished record with a single batched ``eigh``, so the numpy call
-    overhead of a round is shared by the whole batch. Every record keeps its
-    own step size, momentum, halving, stall and iteration counts, and the
-    same stops, certificate and rounding guard as ``mle_reconstruct``; a
-    record leaves the batch when it stops. All arithmetic is elementwise or
-    one product per record, never a product across records, so each result
-    is bit for bit the same alone, in any subset and in any order.
+    Every unfinished record takes its Newton step in the same round, so one
+    batched ``eigh``, ``solve`` and ``eigvalsh`` serve up to _BATCH records,
+    and a record leaves the round when it is certified. All arithmetic is
+    elementwise or one product per record, never a product across records,
+    so each result is bit for bit the same alone, in any subset and in any
+    order.
     """
     if not recs:
         return []
     if any(r.settings != recs[0].settings for r in recs):
         raise ValueError("records in one batch must share their settings")
+    if len(recs) > _BATCH:
+        return [
+            res for lo in range(0, len(recs), _BATCH)
+            for res in _mle_batch(recs[lo : lo + _BATCH], max_iter)
+        ]
     maps = _linear_maps(recs[0].settings)
-    pf, d = maps.pf, maps.d
-    starts = [_start(maps, r) for r in recs]
-    x0 = np.array([s[0] for s in starts])
-    q0 = np.array([s[1] for s in starts])
-    gap0 = np.zeros(len(recs))
+    pf, kets, g, d = maps.pf, maps.kets, maps.diag, maps.d
+    iu, ju = np.triu_indices(d, 1)
+    # coordinates 0 .. n_off - 1 are the pairs i < j, the rest the diagonal
+    n_off = 2 * iu.size
     counts = np.array([r.counts for r in recs])
     flux = np.array([r.flux for r in recs])
     n_total = counts.sum(axis=-1)
-    # the final state of each record; all-zero records end at their start
-    x_end, q_end, gap_end = x0.copy(), q0.copy(), gap0.copy()
-    iters_end = np.zeros(len(recs), dtype=int)
-    conv_end = n_total == 0
+    rho = np.tile(np.eye(d, dtype=complex) / d, (len(recs), 1, 1))
+    q = _probabilities(pf, rho)
+    log_det = np.log(np.linalg.eigvalsh(rho)).sum(axis=-1)
+    mu = n_total / (d * d)
+    gap = np.zeros(len(recs))
+    iterations = np.zeros(len(recs), dtype=int)
+    live = np.flatnonzero(n_total > 0)
+    for it in range(max_iter + 1):
+        c, fl, ql, nl = counts[live], flux[live], q[live], n_total[live]
+        w = c / ql
+        gap[live] = _fw_gap(pf, d, w - fl[:, None], nl, fl, ql)
+        keep = gap[live] > MLE_TOL * nl
+        if it == max_iter or not keep.any():
+            break
+        live, c, fl, ql, w = live[keep], c[keep], fl[keep], ql[keep], w[keep]
+        iterations[live] = it + 1
+        rl, ml, k = rho[live], mu[live], live.size
 
-    # state of the unfinished records, one row per entry of idx; every array
-    # is compacted when records finish
-    idx = np.flatnonzero(n_total > 0)
-    c, fl, nt = counts[idx], flux[idx], n_total[idx]
-    pos = c > 0
+        # Newton step of log L + mu log det rho over rho + U (sum_k x_k B_k) U^H,
+        # rho = U diag(lam) U^H, in the orthonormal traceless basis B_k:
+        # (E_ij + E_ji)/sqrt2 and i(E_ji - E_ij)/sqrt2 for the pairs i < j,
+        # then diag(g_k). There q moves by a x (_rotated_map), the barrier's
+        # gradient Tr(rho^-1 B~_k) is 0 on the pairs and g^T (1/lam) on the
+        # diagonal, and its Hessian Tr(rho^-1 B~_k rho^-1 B~_l) is diagonal,
+        # 1/(lam_i lam_j) on the pairs, but for the diagonal's block
+        # g^T diag(1/lam^2) g
+        lam, u = np.linalg.eigh(rl)
+        a = _rotated_map(kets @ u.conj(), iu, ju, g)
+        inv_lam = 1.0 / lam
+        grad = (a.mT @ (w - fl[:, None])[..., None])[..., 0]
+        grad[:, n_off:] += ml[:, None] * (inv_lam[:, None, :] @ g)[:, 0]
+        a *= (np.sqrt(c) / ql)[..., None]
+        hess = a.mT @ a
+        pairs = np.arange(n_off)
+        hess[:, pairs, pairs] += ml[:, None] * np.tile(inv_lam[:, iu] * inv_lam[:, ju], 2)
+        hess[:, n_off:, n_off:] += ml[:, None, None] * (g.T @ (inv_lam[..., None] ** 2 * g))
+        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        decrement = np.vecdot(grad, step)
+        m = np.zeros((k, d, d), dtype=complex)
+        m[:, iu, ju] = np.sqrt(0.5) * (step[:, : iu.size] - 1j * step[:, iu.size : n_off])
+        m[:, ju, iu] = m[:, iu, ju].conj()
+        m[:, range(d), range(d)] = (g @ step[:, n_off:, None])[..., 0]
+        d_rho = u @ m @ u.conj().mT
+        d_rho = 0.5 * (d_rho + d_rho.conj().mT)
+        dq = _probabilities(pf, d_rho)
 
-    def relative(dq, q, at):
-        # dq / q on the settings with counts, 0 on the others
-        return np.divide(dq, q, out=np.zeros_like(dq), where=pos[at])
-
-    def certify(at):
-        grad = _gradient(pf, d, c[at], qx[at], fl[at, None], pos[at])
-        return _fw_gap(grad, nt[at], fl[at], qx[at])
-
-    x, qx = x0[idx], q0[idx]
-    gap = certify(slice(None))
-    gap0[idx] = gap
-    x_prev, q_prev, y, qy = x.copy(), qx.copy(), x.copy(), qx.copy()
-    g = np.zeros_like(x)
-    y_is_x = np.ones(idx.size, dtype=bool)
-    momentum = np.ones(idx.size)
-    eta = 1.0 / fl
-    halvings = np.zeros(idx.size, dtype=int)
-    stalls = np.zeros(idx.size, dtype=int)
-    iterations = np.zeros(idx.size, dtype=int)
-    converged = np.zeros(idx.size, dtype=bool)
-    fresh = np.ones(idx.size, dtype=bool)
-    while idx.size:
-        # records that begin an iteration take the gradient at their y
-        iterations[fresh] += 1
-        halvings[fresh] = 0
-        g[fresh] = _gradient(pf, d, c[fresh], qy[fresh], fl[fresh, None], pos[fresh])
-        trial = _project_to_states(y + eta[:, None, None] * g)
-        q_trial = _probabilities(pf, trial)
-        ok = np.all((q_trial > 0) | ~pos, axis=-1)
-        i = np.flatnonzero(ok)
-        r = relative(q_trial[i] - qy[i], qy[i], i)
-        ok[i] = _lower_model_holds(c[i], r, trial[i] - y[i], eta[i])
-        eta *= np.where(ok, 1.5, 0.5)
-        halvings += ~ok
-        ended = ok | (halvings == _MAX_HALVINGS)
-
-        # accepted trials that raise log L become the new iterates
-        i = np.flatnonzero(ok)
-        dq = q_trial[i] - qx[i]
-        i = i[_gain(c[i], relative(dq, qx[i], i), fl[i], dq) > 0]
-        stepped = np.zeros(idx.size, dtype=bool)
-        stepped[i] = True
-        x_prev[i], q_prev[i] = x[i], qx[i]
-        x[i], qx[i] = trial[i], q_trial[i]
-        stalls[i] = 0
-        gap[i] = certify(i)
-        converged[i] = gap[i] <= MLE_TOL * nt[i]
-        i = i[~converged[i]]
-        m = momentum[i]
-        nxt = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * m * m))
-        beta = (m - 1.0) / nxt
-        momentum[i] = nxt
-        y[i] = x[i] + beta[:, None, None] * (x[i] - x_prev[i])
-        qy[i] = qx[i] + beta[:, None] * (qx[i] - q_prev[i])
-        y_is_x[i] = False
-        restart = i[~np.all((qy[i] > 0) | ~pos[i], axis=-1)]
-
-        # iterations that ended without an ascent step
-        i = np.flatnonzero(ended & ~stepped)
-        # the extrapolated step would lower log L: restart the momentum
-        restart = np.concatenate([restart, i[~y_is_x[i]]])
-        # no ascent step from x is representable
-        i = i[y_is_x[i]]
-        stalls[i] += 1
-        converged[i] = stalls[i] == 3
-        y[restart], qy[restart] = x[restart], qx[restart]
-        momentum[restart] = 1.0
-        y_is_x[restart] = True
-
-        done = converged | (ended & (iterations == max_iter))
-        fresh = ended & ~done
-        if done.any():
-            out = idx[done]
-            x_end[out], q_end[out], gap_end[out] = x[done], qx[done], gap[done]
-            iters_end[out], conv_end[out] = iterations[done], converged[done]
-            keep = ~done
-            (idx, c, fl, nt, pos, x, qx, x_prev, q_prev, y, qy, g, y_is_x, momentum,
-             eta, halvings, stalls, iterations, gap, converged, fresh) = (
-                a[keep] for a in (
-                    idx, c, fl, nt, pos, x, qx, x_prev, q_prev, y, qy, g, y_is_x,
-                    momentum, eta, halvings, stalls, iterations, gap, converged, fresh,
-                )
+        # backtracking: step t = 1, 1/2, ... until rho stays positive
+        # definite and the gain reaches _ARMIJO * t * decrement
+        todo = np.arange(k)
+        for j in range(_LINE_SEARCH_STEPS):
+            t = 0.5**j
+            trial = rl[todo] + t * d_rho[todo]
+            r = t * dq[todo] / ql[todo]
+            lam = np.linalg.eigvalsh(trial)
+            ok = (lam[:, 0] > 0) & np.all(r > -1.0, axis=-1)
+            i = todo[ok]
+            ld = np.log(lam[ok]).sum(axis=-1)
+            gain = (
+                np.vecdot(c[i], np.log1p(r[ok]))
+                - t * fl[i] * dq[i].sum(axis=-1)
+                + ml[i] * (ld - log_det[live[i]])
             )
+            good = gain >= _ARMIJO * t * decrement[i]
+            rho[live[i[good]]] = trial[ok][good]
+            log_det[live[i[good]]] = ld[good]
+            ok[ok] = good
+            todo = todo[~ok]
+            if not todo.size:
+                break
+        q[live] = _probabilities(pf, rho[live])
+        mu[live] = np.where(decrement < 0.5 * ml, 0.1 * ml, ml)
+    converged = gap <= MLE_TOL * n_total
     return [
-        _result(x_end[k], q_end[k], gap_end[k], (x0[k], q0[k], gap0[k]), rec,
-                iters_end[k], conv_end[k])
-        for k, rec in enumerate(recs)
+        _result(rho[n], q[n], gap[n], rec, maps, iterations[n], converged[n])
+        for n, rec in enumerate(recs)
     ]
 
 
@@ -592,7 +507,7 @@ def monte_carlo_states(rec, n_samples, seed):
     Sample k draws counts ~ Poisson(mean = observed counts) from the
     generator seeded with seed + k, so the stream is independent of any
     scheduling or chunking of the consumer. All samples are solved in one
-    lockstep ``_mle_batch`` before the first is yielded; a sample's state
+    ``_mle_batch`` before the first is yielded; a sample's state
     does not depend on the others in its batch, so sample k of seed s is
     bit for bit sample k - 1 of seed s + 1.
     """

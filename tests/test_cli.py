@@ -135,6 +135,11 @@ def test_count_file_errors_exit_1(tmp_path, capsys):
     infinite.write_text("# flux = inf\nz0z0z0,5\n")
     assert main(["tomo", "--t", "1.0", "--load-counts", str(infinite)]) == 1
     assert "finite" in capsys.readouterr().err
+    for bad in ("nan", "inf"):
+        table = tmp_path / f"{bad}_count.txt"
+        table.write_text(f"# flux = 10.0\nz0z0z0,{bad}\nz0z0z1,3\n")
+        assert main(["tomo", "--t", "1.0", "--load-counts", str(table)]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 def test_spectrum_subcommand(capsys):

@@ -121,6 +121,8 @@ def test_transition_points_require_bracketing():
     # alpha = 0 leaves the state pure at every p: nothing ever vanishes
     with pytest.raises(BracketingError):
         transition_points(0.0)
+    with pytest.raises(ValueError, match="alpha"):
+        transition_points(float("nan"))
 
 
 def test_negativity_monotone_on_ideal_curve():

@@ -42,6 +42,9 @@ def test_config_field_validation():
     SweepConfig(
         p_grid=(0.5,), tomography_enabled=True, mc_samples=_SEED_STRIDE - 1
     ).validate()
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="alpha"):
+            run_sweep(SweepConfig(p_grid=(0.5,), alpha=alpha))
 
 
 def test_config_hash_ignores_workers():

@@ -107,6 +107,9 @@ def test_model_rejects_p_outside_unit_interval():
     for p in (-0.1, 1.2, float("nan")):
         with pytest.raises(ValueError):
             thermal_state_model(g, p, np.pi)
+    for alpha in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            thermal_state_model(g, 0.5, alpha)
 
 
 def test_model_alpha_zero_is_identity_channel():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from thermalcluster.graphs import linear_graph
+from thermalcluster.graphs import Graph, linear_graph
 from thermalcluster.linalg import validate_density_matrix
 from thermalcluster.thermal import p_from_temperature, thermal_state_model
 from thermalcluster.tomography import (
+    MLE_TOL,
     CountRecord,
     _mle_batch,
     expected_probabilities,
@@ -65,6 +66,9 @@ def test_count_record_validation():
         CountRecord(settings=settings, counts=np.ones(3), flux=1.0)
     with pytest.raises(ValueError):
         CountRecord(settings=settings, counts=-np.ones(4), flux=1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CountRecord(settings=settings, counts=np.array([1.0, bad, 2.0, 3.0]), flux=1.0)
     with pytest.raises(ValueError):
         CountRecord(settings=settings, counts=np.ones(4), flux=0.0)
     with pytest.raises(ValueError, match="qubits"):
@@ -233,39 +237,96 @@ def test_monte_carlo_wraps_reconstruction_failures(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-def test_mle_batch_agrees_with_mle_reconstruct():
-    # the lockstep batch against the one-record solver, on one mixed batch:
-    # tomo_ladder cells, a record with zero counts and an all-zero record
+def test_mle_batch_results_do_not_depend_on_the_batch():
+    # each record's result is the same bit for bit alone, in one mixed batch
+    # and in reverse order: tomo_ladder cells, a record with zero counts and
+    # an all-zero record, more records than one chunk of the solver holds
     settings = standard_settings(3)
     recs = []
     for t in (0.5, 1.8):
         rho = thermal_state_model(linear_graph(3), p_from_temperature(t), 0.84 * np.pi)
         for flux in (1e3, 1e6):
-            recs += [simulate_counts(rho, settings, flux, seed=s) for s in (40, 41, 42)]
+            recs += [simulate_counts(rho, settings, flux, seed=s) for s in (40, 41, 42, 43)]
     sparse = simulate_counts(model_state(0.1, 0.84 * np.pi), settings, 20.0, seed=3)
     assert 0 < np.count_nonzero(sparse.counts == 0) < len(settings)
     empty = CountRecord(settings=settings, counts=np.zeros(len(settings)), flux=1e3)
     recs += [sparse, empty]
 
     def check(batch, **kw):
-        for rec, got in zip(batch, _mle_batch(batch, **kw)):
-            ref = mle_reconstruct(rec, **kw)
-            validate_density_matrix(got.rho)
-            assert got.converged == ref.converged
-            assert abs(got.log_likelihood - ref.log_likelihood) <= max(got.gap, ref.gap)
-            yield got
+        alone = [mle_reconstruct(rec, **kw) for rec in batch]
+        for got in (_mle_batch(batch, **kw), _mle_batch(batch[::-1], **kw)[::-1]):
+            for a, b in zip(alone, got):
+                assert np.array_equal(a.rho, b.rho)
+                assert (a.iterations, a.converged, a.gap, a.log_likelihood) == (
+                    b.iterations, b.converged, b.gap, b.log_likelihood
+                )
+        for res in alone:
+            validate_density_matrix(res.rho)
+        return alone
 
-    results = list(check(recs))
+    results = check(recs)
     assert all(res.converged for res in results)
     assert np.array_equal(results[-1].rho, np.eye(8) / 8)
     assert results[-1].gap == 0.0 and results[-1].iterations == 0
-    capped = list(check(recs[:-1], max_iter=3))
+    capped = check(recs[:-1], max_iter=3)
     assert all(not res.converged and res.iterations == 3 for res in capped)
-    # from the maximally mixed start the first trial has q = 0 on a setting
-    # with counts, so a round ends with no trial to test
+    # not informationally complete: the likelihood does not see the
+    # coherence, which the barrier keeps at 0
     lone = CountRecord(settings=(("z0",), ("z1",)), counts=np.array([5.0, 1.0]), flux=1.0)
     (res,) = check([lone])
     assert np.allclose(res.rho, np.diag([5.0, 1.0]) / 6.0, atol=1e-6)
+
+
+def diluted_rrho(rec, rho, steps, eps=0.5):
+    # the diluted R rho R iteration (Rehacek, Hradil, Knill and Lvovsky,
+    # PRA 75, 042108 (2007)) for log L = sum_s c_s log(flux q_s) - flux q_s,
+    # with R = I + eps G / N and G = sum_s (c_s / q_s - flux) Pi_s; each step
+    # stays a density matrix and ascends for small eps
+    pi = projector_stack(rec.settings)
+    for _ in range(steps):
+        q = np.einsum("sij,ji->s", pi, rho).real
+        r = np.eye(len(rho)) + eps / rec.counts.sum() * np.einsum(
+            "s,sij->ij", rec.counts / q - rec.flux, pi
+        )
+        rho = r @ rho @ r
+        rho /= np.trace(rho).real
+    return rho
+
+
+def test_mle_certificate_against_diluted_rrho():
+    # no state the independent iteration reaches, from I/8 or from the MLE
+    # itself, beats the MLE's log L by more than its reported gap
+    for t in (0.2, 1.8):
+        rho = thermal_state_model(linear_graph(3), p_from_temperature(t), 0.84 * np.pi)
+        for flux in (1e3, 1e6):
+            rec = simulate_counts(rho, standard_settings(3), flux, seed=40)
+            res = mle_reconstruct(rec)
+            assert res.converged
+            for start, steps in ((np.eye(8, dtype=complex) / 8, 500), (res.rho, 200)):
+                oracle = poisson_log_likelihood(diluted_rrho(rec, start, steps), rec)
+                assert oracle <= res.log_likelihood + res.gap, (t, flux, steps)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mle_certified_on_extreme_inputs():
+    # 1-3 qubits, both setting families, T/gap from 0 to inf and flux up
+    # to 1e8, where the states are near pure and the counts near 1e8
+    rows = []
+    for n in (1, 2, 3):
+        g = Graph(1) if n == 1 else linear_graph(n)
+        for settings in (standard_settings(n), mub_settings(n)):
+            for t in (0.0, 0.2, 1.0, np.inf):
+                rho = thermal_state_model(g, p_from_temperature(t), 0.84 * np.pi)
+                for flux in (1.0, 1e2, 1e4, 1e8):
+                    for seed in (0, 1):
+                        rec = simulate_counts(rho, settings, flux, seed=seed)
+                        res = mle_reconstruct(rec)
+                        rows.append((n, len(settings), t, flux, seed, res.converged,
+                                     res.gap <= MLE_TOL * rec.counts.sum()))
+    assert len(rows) == 192
+    assert (3, 64, 0.2, 1e8, 0, True, True) in rows
+    assert (3, 64, 0.2, 1e8, 1, True, True) in rows
+    assert [r for r in rows if not (r[5] and r[6])] == []
 
 
 def test_mle_batch_needs_one_settings_tuple():
