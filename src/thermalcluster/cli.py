@@ -117,12 +117,26 @@ def _config_from_file(path):
     if "alpha" in out:
         out["alpha"] = parse_alpha(out["alpha"])
     for key in ("p_grid", "t_grid"):
-        if out.get(key) is not None:
-            val = out[key]
-            out[key] = parse_grid(val) if isinstance(val, str) else tuple(
-                float(v) for v in val
-            )
+        val = out.get(key)
+        if isinstance(val, str):
+            out[key] = parse_grid(val)
+        elif isinstance(val, list) and all(map(_is_number, val)):
+            out[key] = tuple(float(v) for v in val)
+        elif val is not None:
+            raise ConfigError(f"{key} must be a grid string or a list of numbers")
+    if "flux" in out and not _is_number(out["flux"]):
+        raise ConfigError("flux must be a number")
+    for key in ("mc_samples", "seed"):
+        if key in out and not (_is_number(out[key]) and isinstance(out[key], int)):
+            raise ConfigError(f"{key} must be an integer")
+    if "tomography_enabled" in out and not isinstance(out["tomography_enabled"], bool):
+        raise ConfigError("tomography_enabled must be true or false")
     return out
+
+
+def _is_number(v):
+    # a JSON number; JSON's true and false load as bools, which are ints
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _build_sweep_config(args):

@@ -145,6 +145,9 @@ def transition_points(alpha, tol=DEFAULT_TOL):
     PPT everywhere). Raises BracketingError when a curve never crosses,
     e.g. alpha = 0 where the channel is the identity.
     """
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
+
     def end_neg(p):
         rho = thermal_state_model(CHAIN, p, alpha)
         return min(negativity(rho, (0,), 3), negativity(rho, (2,), 3))

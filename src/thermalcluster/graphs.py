@@ -1,4 +1,4 @@
-"""Graph states, their excitation eigenbasis, and the parent Hamiltonian.
+"""Graph states and their parent Hamiltonian.
 
 The chain studied in the experiments is ``linear_graph(3)`` with qubit
 ordering (A_p, B_s, B_p) = (0, 1, 2); in that ordering the ground state
@@ -22,7 +22,6 @@ __all__ = [
     "parse_graph",
     "format_graph",
     "build_graph_state",
-    "excited_state",
     "parent_hamiltonian",
     "verify_spectrum",
 ]
@@ -107,27 +106,6 @@ def build_graph_state(g):
         bi = (idx >> (n - 1 - i)) & 1
         bj = (idx >> (n - 1 - j)) & 1
         amps[(bi == 1) & (bj == 1)] *= -1.0
-    return amps
-
-
-def excited_state(g, mu):
-    """Apply Z^mu_i on each qubit of the ground state.
-
-    The 2^n vectors obtained this way are the orthonormal eigenbasis of the
-    parent Hamiltonian; ``mu`` counts which stabilizers are violated.
-    """
-    mu = [int(b) for b in mu]
-    if len(mu) != g.n_vertices:
-        raise ValueError(f"excitation vector length {len(mu)} != {g.n_vertices} vertices")
-    if any(b not in (0, 1) for b in mu):
-        raise ValueError("excitation entries must be 0 or 1")
-    n = g.n_vertices
-    amps = build_graph_state(g).copy()
-    idx = np.arange(2**n)
-    for q, bit in enumerate(mu):
-        if bit:
-            bq = (idx >> (n - 1 - q)) & 1
-            amps[bq == 1] *= -1.0
     return amps
 
 

@@ -3,7 +3,7 @@
 Everything here operates on plain numpy arrays. States live in the
 computational basis with qubit 0 as the LEFTMOST tensor factor, i.e. the
 most significant bit of the basis index. That single convention is relied
-on throughout; see :func:`basis_index`.
+on throughout.
 """
 
 from __future__ import annotations
@@ -15,24 +15,18 @@ __all__ = [
     "EIG_CLAMP",
     "I2",
     "X",
-    "Y",
     "Z",
     "KETS",
-    "tensor",
     "tensor_all",
-    "basis_index",
     "validate_density_matrix",
-    "partial_trace",
     "partial_transpose",
     "hermitian_expm",
     "trace_norm",
     "fidelity",
-    "purity",
 ]
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # The six Pauli eigenstates, keyed by the labels used in measurement
@@ -58,29 +52,12 @@ class PositivityError(ValueError):
     """A matrix required to be positive semidefinite is not."""
 
 
-def tensor(a, b):
-    """Kronecker product of two operators (or state vectors)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def tensor_all(factors):
     """Kronecker product of a sequence of operators, left to right."""
     out = np.asarray(factors[0])
     for f in factors[1:]:
         out = np.kron(out, np.asarray(f))
     return out
-
-
-def basis_index(bits):
-    """Computational-basis index of a bit string, qubit 0 most significant.
-
-    ``basis_index([1, 0, 0]) == 4`` for three qubits: qubit 0 carries the
-    highest place value because it is the leftmost tensor factor.
-    """
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
-    return idx
 
 
 def _n_qubits(dim):
@@ -110,35 +87,6 @@ def validate_density_matrix(rho):
     if w_min < -EIG_CLAMP:
         raise PositivityError(f"minimum eigenvalue {w_min:.3e} below -{EIG_CLAMP}")
     return rho
-
-
-def partial_trace(rho, keep, n=None):
-    """Reduced state of ``rho`` on the qubits in ``keep``.
-
-    Parameters
-    ----------
-    rho : (2^n, 2^n) array
-    keep : iterable of qubit indices to retain, in increasing order of
-        significance (the output ordering follows the input ordering of
-        the kept qubits).
-    n : number of qubits; inferred from the dimension when omitted.
-    """
-    rho = np.asarray(rho)
-    if n is None:
-        n = _n_qubits(rho.shape[0])
-    keep = sorted(set(int(q) for q in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if keep[-1] >= n or keep[0] < 0:
-        raise ValueError(f"qubit index out of range for n={n}: {keep}")
-    traced = [q for q in range(n) if q not in keep]
-    t = rho.reshape((2,) * (2 * n))
-    # contract row and column axes of each traced qubit, highest axis first
-    # so earlier positions stay valid
-    for q in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=q, axis2=t.ndim // 2 + q)
-    d = 2 ** len(keep)
-    return t.reshape(d, d)
 
 
 def partial_transpose(rho, subset, n=None):
@@ -208,8 +156,3 @@ def fidelity(rho, sigma):
     # guard against roundoff pushing slightly past 1
     return min(f, 1.0)
 
-
-def purity(rho):
-    """Tr(rho^2)."""
-    rho = np.asarray(rho)
-    return float(np.trace(rho @ rho).real)

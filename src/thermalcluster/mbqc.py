@@ -206,6 +206,8 @@ def haar_average_fidelity(rho, n_samples, seed):
     this estimates the same quantity as the MUB average, so the two should
     agree within Monte Carlo error.
     """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n_samples, 2)) + 1j * rng.normal(size=(n_samples, 2))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)

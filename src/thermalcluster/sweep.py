@@ -42,14 +42,22 @@ __all__ = [
     "SweepPoint",
     "run_sweep",
     "emit",
-    "load_json_points",
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = (
-    "p,t_over_delta,neg_Ap,err_Ap,neg_Bp,err_Bp,neg_Bs,err_Bs,"
-    "class,avg_fidelity,fid_error,state_fidelity_vs_ideal"
+# the output table: each column's name and the SweepPoint field it holds
+_COLUMNS = (
+    ("p", "p"),
+    ("t_over_delta", "t_over_delta"),
+    ("neg_Ap", "neg_ap"), ("err_Ap", "err_ap"),
+    ("neg_Bp", "neg_bp"), ("err_Bp", "err_bp"),
+    ("neg_Bs", "neg_bs"), ("err_Bs", "err_bs"),
+    ("class", "klass"),
+    ("avg_fidelity", "avg_fidelity"),
+    ("fid_error", "fid_error"),
+    ("state_fidelity_vs_ideal", "state_fidelity_vs_ideal"),
 )
+CSV_COLUMNS = ",".join(col for col, _ in _COLUMNS)
 
 # spacing between per-point seed blocks; point i uses seeds seed + i * stride
 # up to seed + i * stride + mc_samples, so validate() requires mc_samples < stride
@@ -189,24 +197,14 @@ def run_sweep(cfg):
     return rows
 
 
-def _fmt(x):
-    if np.isinf(x):
-        return "inf"
-    return repr(float(x))
-
-
-def _point_dict(pt):
-    return {
-        "p": pt.p,
-        "t_over_delta": "inf" if np.isinf(pt.t_over_delta) else pt.t_over_delta,
-        "neg_Ap": pt.neg_ap, "err_Ap": pt.err_ap,
-        "neg_Bp": pt.neg_bp, "err_Bp": pt.err_bp,
-        "neg_Bs": pt.neg_bs, "err_Bs": pt.err_bs,
-        "class": pt.klass,
-        "avg_fidelity": pt.avg_fidelity,
-        "fid_error": pt.fid_error,
-        "state_fidelity_vs_ideal": pt.state_fidelity_vs_ideal,
-    }
+def _cells(pt):
+    # column -> value of one row; JSON has no infinity, so an infinite
+    # value (T = inf) is written "inf" in both formats
+    cells = {}
+    for col, field in _COLUMNS:
+        v = getattr(pt, field)
+        cells[col] = "inf" if isinstance(v, float) and np.isinf(v) else v
+    return cells
 
 
 def emit(points, fmt="csv", path=None, provenance=None):
@@ -226,19 +224,11 @@ def emit(points, fmt="csv", path=None, provenance=None):
                 lines.append(f"# {k} = {provenance[k]}")
         lines.append(CSV_COLUMNS)
         for pt in points:
-            row = (
-                _fmt(pt.p), _fmt(pt.t_over_delta),
-                _fmt(pt.neg_ap), _fmt(pt.err_ap),
-                _fmt(pt.neg_bp), _fmt(pt.err_bp),
-                _fmt(pt.neg_bs), _fmt(pt.err_bs),
-                pt.klass,
-                _fmt(pt.avg_fidelity), _fmt(pt.fid_error),
-                _fmt(pt.state_fidelity_vs_ideal),
-            )
-            lines.append(",".join(row))
+            row = _cells(pt).values()
+            lines.append(",".join(v if isinstance(v, str) else repr(float(v)) for v in row))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        doc = {"points": [_point_dict(pt) for pt in points]}
+        doc = {"points": [_cells(pt) for pt in points]}
         if provenance:
             doc["provenance"] = dict(provenance)
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
@@ -249,25 +239,3 @@ def emit(points, fmt="csv", path=None, provenance=None):
             fh.write(text)
     return text
 
-
-def load_json_points(text):
-    """Rebuild SweepPoint rows from emitted JSON (inverse of emit)."""
-    doc = json.loads(text)
-    points = []
-    for d in doc["points"]:
-        t = d["t_over_delta"]
-        points.append(
-            SweepPoint(
-                p=float(d["p"]),
-                t_over_delta=float("inf") if t == "inf" else float(t),
-                neg_ap=float(d["neg_Ap"]), neg_bp=float(d["neg_Bp"]),
-                neg_bs=float(d["neg_Bs"]),
-                err_ap=float(d["err_Ap"]), err_bp=float(d["err_Bp"]),
-                err_bs=float(d["err_Bs"]),
-                klass=d["class"],
-                avg_fidelity=float(d["avg_fidelity"]),
-                fid_error=float(d["fid_error"]),
-                state_fidelity_vs_ideal=float(d["state_fidelity_vs_ideal"]),
-            )
-        )
-    return points

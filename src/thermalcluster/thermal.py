@@ -12,15 +12,12 @@ t = +inf the maximally mixed state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import build_graph_state, parent_hamiltonian
 from .linalg import hermitian_expm, tensor_all
 
 __all__ = [
-    "TemperaturePoint",
     "p_from_temperature",
     "temperature_from_p",
     "gibbs_state",
@@ -28,26 +25,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TemperaturePoint:
-    """A (p, T/Delta) pair satisfying p = 2/(1 + e^(Delta/T))."""
-
-    p: float
-    t_over_delta: float
-
-    @classmethod
-    def from_p(cls, p):
-        return cls(p=p, t_over_delta=temperature_from_p(p))
-
-    @classmethod
-    def from_temperature(cls, t_over_delta):
-        return cls(p=p_from_temperature(t_over_delta), t_over_delta=t_over_delta)
-
-
 def p_from_temperature(t_over_delta):
     """Dephasing strength p = 2/(1 + e^(Delta/T)); p(0) = 0, p(inf) = 1."""
     t = float(t_over_delta)
-    if t < 0:
+    if not t >= 0:
         raise ValueError("temperature must be nonnegative")
     if t == 0:
         return 0.0
@@ -77,7 +58,7 @@ def gibbs_state(g, t_over_delta):
     built with gap 1 and the exponent is -H / t_over_delta.
     """
     t = float(t_over_delta)
-    if t < 0:
+    if not t >= 0:
         raise ValueError("temperature must be nonnegative")
     dim = 2**g.n_vertices
     if t == 0:

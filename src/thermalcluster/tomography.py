@@ -41,12 +41,9 @@ from .linalg import KETS
 
 __all__ = [
     "STANDARD_ALPHABET",
-    "MUB_ALPHABET",
     "CountRecord",
     "ReconstructionResult",
     "standard_settings",
-    "mub_settings",
-    "setting_projector",
     "projector_stack",
     "setting_label",
     "parse_setting_label",
@@ -61,8 +58,6 @@ __all__ = [
 
 # Minimal informationally complete product family: 4^n settings.
 STANDARD_ALPHABET = ("z0", "z1", "x+", "y+")
-# Overcomplete 6^n family over all Pauli eigenstates, for robustness studies.
-MUB_ALPHABET = ("z0", "z1", "x+", "x-", "y+", "y-")
 
 
 def standard_settings(n):
@@ -70,19 +65,6 @@ def standard_settings(n):
     if n < 1:
         raise ValueError("need at least one qubit")
     return list(itertools.product(STANDARD_ALPHABET, repeat=n))
-
-
-def mub_settings(n):
-    """All 6^n product settings over the full Pauli-eigenstate alphabet."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    return list(itertools.product(MUB_ALPHABET, repeat=n))
-
-
-def setting_projector(setting):
-    """Rank-1 product projector for one setting."""
-    v = _setting_ket(setting)
-    return np.outer(v, v.conj())
 
 
 def _setting_ket(setting):
@@ -93,9 +75,9 @@ def _setting_ket(setting):
 
 
 def projector_stack(settings):
-    """(S, d, d) array of all setting projectors."""
-    mats = [setting_projector(s) for s in settings]
-    return np.array(mats)
+    """(S, d, d) array of the rank-1 product projectors of the settings."""
+    k = np.array([_setting_ket(s) for s in settings])
+    return k[:, :, None] * k[:, None, :].conj()
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from thermalcluster.cli import main, parse_alpha, parse_grid
-from thermalcluster.sweep import CSV_COLUMNS, ConfigError, load_json_points
+from thermalcluster.sweep import CSV_COLUMNS, ConfigError
 
 
 def test_parse_alpha():
@@ -51,8 +52,8 @@ def test_sweep_provenance_and_output_file(tmp_path, capsys):
 
 def test_sweep_json_round_trip(capsys):
     assert main(["sweep", "--t-grid", "0.4,1.2", "--format", "json"]) == 0
-    pts = load_json_points(capsys.readouterr().out)
-    assert [round(pt.t_over_delta, 9) for pt in pts] == [0.4, 1.2]
+    pts = json.loads(capsys.readouterr().out)["points"]
+    assert [round(pt["t_over_delta"], 9) for pt in pts] == [0.4, 1.2]
 
 
 def test_sweep_config_file_with_flag_override(tmp_path, capsys):
@@ -65,12 +66,26 @@ def test_sweep_config_file_with_flag_override(tmp_path, capsys):
     assert rows[1].startswith("0.5,")
 
 
+@pytest.mark.filterwarnings("error")
 def test_sweep_config_file_errors(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"p_grid": [0.2], "volume": 11}')
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "volume" in capsys.readouterr().err
     assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == 1
+    # values of the wrong JSON type are configuration errors too
+    for key, text in (
+        ("tomography_enabled", '{"p_grid": [0.2], "tomography_enabled": "no"}'),
+        ("flux", '{"p_grid": [0.2], "flux": "abc"}'),
+        ("mc_samples", '{"p_grid": [0.2], "mc_samples": "5"}'),
+        ("mc_samples", '{"p_grid": [0.2], "mc_samples": 2.5}'),
+        ("seed", '{"p_grid": [0.2], "seed": 1.5}'),
+        ("p_grid", '{"p_grid": 5}'),
+        ("t_grid", '{"t_grid": ["a"]}'),
+    ):
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg)]) == 1, text
+        assert key in capsys.readouterr().err, text
 
 
 def test_config_errors_exit_1(tmp_path, capsys):

@@ -13,7 +13,6 @@ from thermalcluster.entanglement import (
     transition_points,
 )
 from thermalcluster.graphs import linear_graph
-from thermalcluster.linalg import tensor
 from thermalcluster.thermal import temperature_from_p, thermal_state_model
 
 
@@ -32,7 +31,7 @@ def test_negativity_product_state():
     a = rng.normal(size=(2, 2))
     a = a @ a.T
     a /= np.trace(a)
-    rho = tensor(a.astype(complex), a.astype(complex))
+    rho = np.kron(a, a).astype(complex)
     assert negativity(rho, (0,)) == 0.0
 
 
@@ -123,6 +122,13 @@ def test_transition_points_require_bracketing():
         transition_points(0.0)
     with pytest.raises(ValueError, match="alpha"):
         transition_points(float("nan"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_transition_points_reject_nan_and_negative_tol():
+    for tol in (float("nan"), -1e-9):
+        with pytest.raises(ValueError, match="tol"):
+            transition_points(np.pi, tol=tol)
 
 
 def test_negativity_monotone_on_ideal_curve():

@@ -4,13 +4,9 @@ import pytest
 from thermalcluster.linalg import (
     KETS,
     PositivityError,
-    basis_index,
     fidelity,
     hermitian_expm,
-    partial_trace,
     partial_transpose,
-    purity,
-    tensor,
     tensor_all,
     trace_norm,
     validate_density_matrix,
@@ -30,13 +26,6 @@ def bell_state():
     return np.outer(v, v.conj())
 
 
-def test_tensor_matches_kron():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(4, 4))
-    assert np.allclose(tensor(a, b), np.kron(a, b))
-
-
 def test_tensor_all_order():
     x = np.diag([1.0, 2.0])
     y = np.diag([3.0, 5.0])
@@ -46,13 +35,6 @@ def test_tensor_all_order():
     assert out[0, 0] == 1 * 3 * 7
     assert out[4, 4] == 2 * 3 * 7
     assert out[1, 1] == 1 * 3 * 11
-
-
-def test_basis_index():
-    assert basis_index([0, 0, 0]) == 0
-    assert basis_index([1, 0, 0]) == 4
-    assert basis_index([0, 0, 1]) == 1
-    assert basis_index([1, 1, 1]) == 7
 
 
 def test_kets_are_unit_eigenstates():
@@ -87,40 +69,6 @@ def test_validate_positivity_clamp_boundary():
         validate_density_matrix(bad)
 
 
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(2)
-    a = random_density(2, rng)
-    b = random_density(2, rng)
-    c = random_density(2, rng)
-    rho = tensor_all([a, b, c])
-    assert np.allclose(partial_trace(rho, [0]), a)
-    assert np.allclose(partial_trace(rho, [1]), b)
-    assert np.allclose(partial_trace(rho, [2]), c)
-    assert np.allclose(partial_trace(rho, [0, 2]), tensor(a, c))
-
-
-def test_partial_trace_bell():
-    red = partial_trace(bell_state(), [0])
-    assert np.allclose(red, np.eye(2) / 2)
-
-
-def test_partial_trace_preserves_trace_and_validity():
-    rng = np.random.default_rng(3)
-    rho = random_density(8, rng)
-    for keep in ([0], [1], [2], [0, 1], [1, 2], [0, 2]):
-        red = partial_trace(rho, keep)
-        assert abs(np.trace(red).real - 1.0) < 1e-12
-        validate_density_matrix(red)
-
-
-def test_partial_trace_errors():
-    rho = np.eye(4) / 4
-    with pytest.raises(ValueError):
-        partial_trace(rho, [])
-    with pytest.raises(ValueError):
-        partial_trace(rho, [2])
-
-
 def test_partial_transpose_involution_and_trace():
     rng = np.random.default_rng(4)
     rho = random_density(8, rng)
@@ -144,7 +92,7 @@ def test_partial_transpose_bell_eigenvalues():
 def test_partial_transpose_separable_stays_positive():
     rng = np.random.default_rng(6)
     rho = sum(
-        p * tensor(random_density(2, rng), random_density(2, rng))
+        p * np.kron(random_density(2, rng), random_density(2, rng))
         for p in (0.2, 0.3, 0.5)
     )
     w = np.linalg.eigvalsh(partial_transpose(rho, [0]))
@@ -196,9 +144,3 @@ def test_fidelity_orthogonal_states():
     b = np.diag([0.0, 1.0]).astype(complex)
     assert fidelity(a, b) < 1e-14
 
-
-def test_purity_range():
-    rng = np.random.default_rng(11)
-    assert abs(purity(np.eye(4) / 4) - 0.25) < 1e-14
-    rho = random_density(4, rng, rank=1)
-    assert abs(purity(rho) - 1.0) < 1e-12

@@ -3,6 +3,7 @@ import json
 import pathlib
 
 import numpy as np
+import pytest
 
 from thermalcluster.graphs import build_graph_state, linear_graph
 from thermalcluster.linalg import KETS
@@ -119,6 +120,12 @@ def test_haar_average_matches_mub_average():
         mub = average_preparation_fidelity(rho)
         haar = haar_average_fidelity(rho, 100_000, seed=21)
         assert abs(haar - mub) < 3e-3, (t, haar, mub)
+
+
+@pytest.mark.filterwarnings("error")
+def test_haar_average_needs_a_sample():
+    with pytest.raises(ValueError, match="sample"):
+        haar_average_fidelity(model(0.5), 0, seed=1)
 
 
 def test_haar_average_deterministic():

@@ -7,7 +7,6 @@ import pytest
 from thermalcluster.graphs import build_graph_state, linear_graph
 from thermalcluster.linalg import I2, tensor_all, validate_density_matrix
 from thermalcluster.thermal import (
-    TemperaturePoint,
     gibbs_state,
     p_from_temperature,
     temperature_from_p,
@@ -42,18 +41,20 @@ def test_temperature_map_monotone():
     assert all(b > a for a, b in zip(ps, ps[1:]))
 
 
+@pytest.mark.filterwarnings("error")
 def test_temperature_map_domain():
-    with pytest.raises(ValueError):
-        p_from_temperature(-0.1)
+    for t in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            p_from_temperature(t)
     with pytest.raises(ValueError):
         temperature_from_p(1.2)
 
 
-def test_temperature_point_constructors():
-    tp = TemperaturePoint.from_p(0.5)
-    assert abs(tp.t_over_delta - temperature_from_p(0.5)) < 1e-15
-    tp2 = TemperaturePoint.from_temperature(tp.t_over_delta)
-    assert abs(tp2.p - 0.5) < 1e-12
+@pytest.mark.filterwarnings("error")
+def test_gibbs_state_domain():
+    for t in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="temperature"):
+            gibbs_state(linear_graph(3), t)
 
 
 def test_gibbs_endpoints():

@@ -1,8 +1,11 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
 from thermalcluster.graphs import Graph, linear_graph
-from thermalcluster.linalg import validate_density_matrix
+from thermalcluster.linalg import KETS, validate_density_matrix
 from thermalcluster.thermal import p_from_temperature, thermal_state_model
 from thermalcluster.tomography import (
     MLE_TOL,
@@ -13,7 +16,6 @@ from thermalcluster.tomography import (
     mle_reconstruct,
     monte_carlo_states,
     monte_carlo_statistic,
-    mub_settings,
     parse_setting_label,
     poisson_log_likelihood,
     projector_stack,
@@ -21,6 +23,11 @@ from thermalcluster.tomography import (
     simulate_counts,
     standard_settings,
 )
+
+
+def mub_settings(n):
+    # the overcomplete 6^n product family over all six Pauli eigenstates
+    return list(itertools.product(("z0", "z1", "x+", "x-", "y+", "y-"), repeat=n))
 
 
 def model_state(p=0.3, alpha=np.pi):
@@ -35,7 +42,6 @@ def noiseless_record(rho, settings, flux=1e4):
 def test_setting_counts():
     assert len(standard_settings(1)) == 4
     assert len(standard_settings(3)) == 64
-    assert len(mub_settings(2)) == 36
 
 
 def test_setting_labels_round_trip():
@@ -53,6 +59,13 @@ def test_standard_settings_informationally_complete():
         pi = projector_stack(standard_settings(n))
         a = pi.reshape(len(pi), -1)
         assert np.linalg.matrix_rank(a) == 4**n
+
+
+def test_projector_stack_is_outer_products():
+    # bit for bit np.outer(v, v^*) of each setting's product ket
+    settings = standard_settings(3)
+    kets = [functools.reduce(np.kron, [KETS[lab] for lab in s]) for s in settings]
+    assert np.array_equal(projector_stack(settings), [np.outer(v, v.conj()) for v in kets])
 
 
 def test_mub_settings_informationally_complete():
