@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CHAIN
-from .linalg import partial_transpose, trace_norm
+from .linalg import ConfigError, partial_transpose, trace_norm
 from .thermal import temperature_from_p, thermal_state_model
 
 __all__ = [
@@ -59,7 +59,7 @@ def all_bipartitions(n):
     (0,), (1,), (2,).
     """
     if n < 2:
-        raise ValueError("bipartitions need at least 2 qubits")
+        raise ConfigError("bipartitions need at least 2 qubits")
     seen = set()
     out = []
     for mask in range(1, 2**n - 1):
@@ -146,7 +146,7 @@ def transition_points(alpha, tol=DEFAULT_TOL):
     e.g. alpha = 0 where the channel is the identity.
     """
     if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
+        raise ConfigError("tol must be nonnegative")
 
     def end_neg(p):
         rho = thermal_state_model(CHAIN, p, alpha)

@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import I2, X, Z, tensor_all
+from .linalg import I2, X, Z, ConfigError, tensor_all
 
 __all__ = [
     "CHAIN",
@@ -36,14 +36,14 @@ class Graph:
 
     def __post_init__(self):
         if self.n_vertices < 1:
-            raise ValueError("graph needs at least one vertex")
+            raise ConfigError("graph needs at least one vertex")
         norm = set()
         for e in self.edges:
             i, j = sorted(e)
             if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
+                raise ConfigError(f"self-loop at vertex {i}")
             if not (0 <= i and j < self.n_vertices):
-                raise ValueError(f"edge {(i, j)} out of range for n={self.n_vertices}")
+                raise ConfigError(f"edge {(i, j)} out of range for n={self.n_vertices}")
             norm.add((i, j))
         object.__setattr__(self, "edges", frozenset(norm))
 
@@ -54,7 +54,7 @@ class Graph:
 def linear_graph(n):
     """Path graph 0-1-...-(n-1), the 1D cluster geometry."""
     if n < 2:
-        raise ValueError("linear graph needs n >= 2")
+        raise ConfigError("linear graph needs n >= 2")
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
@@ -72,7 +72,7 @@ def parse_graph(text):
     try:
         n = int(head.strip())
     except ValueError:
-        raise ValueError(f"bad vertex count in graph string {text!r}") from None
+        raise ConfigError(f"bad vertex count in graph string {text!r}") from None
     edges = set()
     for item in tail.split(","):
         item = item.strip()
@@ -81,7 +81,7 @@ def parse_graph(text):
         try:
             i, j = (int(s) for s in item.split("-"))
         except ValueError:
-            raise ValueError(f"bad edge {item!r} in graph string {text!r}") from None
+            raise ConfigError(f"bad edge {item!r} in graph string {text!r}") from None
         edges.add((i, j))
     return Graph(n, frozenset(edges))
 
@@ -123,15 +123,22 @@ def _stabilizer_term(g, i):
     return tensor_all(factors)
 
 
+# the dense 2^n x 2^n Hamiltonian of more vertices would take gigabytes
+MAX_DENSE_VERTICES = 10
+
+
 def parent_hamiltonian(g, gap=1.0):
     """H = -(gap/2) * sum_i X_i (x) Z_{neighbors of i}.
 
     All terms commute, H is frustration-free, and the graph state is its
-    unique ground state at energy -n*gap/2.
+    unique ground state at energy -n*gap/2. Graphs of more than
+    MAX_DENSE_VERTICES vertices are refused before anything is allocated.
     """
-    if not gap > 0:
-        raise ValueError("gap must be positive")
+    if not 0 < gap < np.inf:
+        raise ConfigError("gap must be positive and finite")
     n = g.n_vertices
+    if n > MAX_DENSE_VERTICES:
+        raise ConfigError(f"{n} vertices; dense Hamiltonians take at most {MAX_DENSE_VERTICES}")
     h = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(n):
         h -= _stabilizer_term(g, i)
@@ -149,7 +156,7 @@ class SpectrumReport:
     multiplicities_binomial: bool
 
 
-# absolute tolerance on energies when grouping and checking levels
+# tolerance on energies in units of the gap when grouping and checking levels
 _LEVEL_ATOL = 1e-10
 
 
@@ -159,30 +166,32 @@ def verify_spectrum(g, gap=1.0):
     The exact levels are -(gap/2)(n - 2k) with multiplicity C(n, k): flipping
     k stabilizers costs k*gap. The report flags whether the computed spectrum
     matches, whether the ground level is unique, and whether the gap between
-    the two lowest levels equals ``gap``.
+    the two lowest levels equals ``gap``. Levels are grouped and checked in
+    units of the gap, so that no check depends on its scale.
     """
     n = g.n_vertices
     w = np.linalg.eigvalsh(parent_hamiltonian(g, gap))
-    levels = []
+    u = w / gap
+    first = []  # index in w of each level's first eigenvalue
     mults = []
-    for ev in w:
-        if levels and abs(ev - levels[-1]) <= _LEVEL_ATOL * max(1.0, abs(ev)):
+    for k, e in enumerate(u):
+        if first and abs(e - u[first[-1]]) <= _LEVEL_ATOL * max(1.0, abs(e)):
             mults[-1] += 1
         else:
-            levels.append(float(ev))
+            first.append(k)
             mults.append(1)
-    expected = [(-0.5 * gap * (n - 2 * k), comb(n, k)) for k in range(n + 1)]
-    matches = len(levels) == len(expected) and all(
-        abs(lv - elv) <= _LEVEL_ATOL and m == em
-        for (lv, m), (elv, em) in zip(zip(levels, mults), expected)
+    expected = [(-0.5 * (n - 2 * k), comb(n, k)) for k in range(n + 1)]
+    matches = len(first) == len(expected) and all(
+        abs(u[k] - elv) <= _LEVEL_ATOL and m == em
+        for k, m, (elv, em) in zip(first, mults, expected)
     )
-    spectral_gap = levels[1] - levels[0] if len(levels) > 1 else float("inf")
+    spectral_gap = w[first[1]] - w[first[0]] if len(first) > 1 else float("inf")
     return SpectrumReport(
         eigenvalues=w,
-        levels=tuple(levels),
+        levels=tuple(float(w[k]) for k in first),
         multiplicities=tuple(mults),
         gap=float(spectral_gap),
         ground_unique=mults[0] == 1,
-        gap_matches=abs(spectral_gap - gap) <= _LEVEL_ATOL,
+        gap_matches=abs(spectral_gap / gap - 1.0) <= _LEVEL_ATOL,
         multiplicities_binomial=matches,
     )

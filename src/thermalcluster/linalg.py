@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "PositivityError",
     "EIG_CLAMP",
     "I2",
@@ -46,6 +47,10 @@ EIG_CLAMP = 1e-9
 
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
+
+
+class ConfigError(ValueError):
+    """An argument outside its domain; the command line exits 1 on it."""
 
 
 class PositivityError(ValueError):

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import CHAIN, build_graph_state
-from .linalg import KETS, tensor_all
+from .linalg import KETS, ConfigError, tensor_all
 
 __all__ = [
     "AXES",
@@ -207,7 +207,7 @@ def haar_average_fidelity(rho, n_samples, seed):
     agree within Monte Carlo error.
     """
     if n_samples < 1:
-        raise ValueError("need at least one sample")
+        raise ConfigError("need at least one sample")
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n_samples, 2)) + 1j * rng.normal(size=(n_samples, 2))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import DEFAULT_TOL, classify_values, negativity
 from .graphs import CHAIN, format_graph
-from .linalg import fidelity
+from .linalg import ConfigError, fidelity
 from .mbqc import average_preparation_fidelity
 from .thermal import gibbs_state, p_from_temperature, temperature_from_p, thermal_state_model
 from .tomography import _mle_batch, _resample, simulate_counts, standard_settings
@@ -64,8 +65,9 @@ CSV_COLUMNS = ",".join(col for col, _ in _COLUMNS)
 _SEED_STRIDE = 1_000_003
 
 
-class ConfigError(ValueError):
-    """Invalid sweep or CLI configuration; maps to exit code 1."""
+def _is_real(v):
+    # Python counts a bool as an int, but no field takes one as a number
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,24 @@ class SweepConfig:
     workers: int | None = None
 
     def validate(self):
-        if not -np.inf < self.alpha < np.inf:
-            raise ConfigError("alpha must be finite")
+        """Check the type of every field but ``workers``, then the grids; returns self.
+
+        The angle, flux and seed are checked by the functions that take
+        them, before any solve.
+        """
+        if not isinstance(self.tomography_enabled, bool):
+            raise ConfigError("tomography_enabled must be true or false")
+        for name in ("mc_samples", "seed"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral) and _is_real(v)):
+                raise ConfigError(f"{name} must be an integer")
+        for name in ("alpha", "flux"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a real number")
+        for name in ("p_grid", "t_grid"):
+            grid = getattr(self, name)
+            if not (grid is None or isinstance(grid, (list, tuple)) and all(map(_is_real, grid))):
+                raise ConfigError(f"{name} must be a list or tuple of real numbers")
         if (self.p_grid is None) == (self.t_grid is None):
             raise ConfigError("provide exactly one of p_grid / t_grid")
         if self.p_grid is not None:
@@ -106,10 +124,6 @@ class SweepConfig:
                     f"mc_samples must be below {_SEED_STRIDE}, or the seed "
                     "streams of neighbouring points overlap"
                 )
-            if not 0 < self.flux < np.inf:
-                raise ConfigError("flux must be positive and finite when tomography is enabled")
-            if self.seed < 0:
-                raise ConfigError("seed must be nonnegative when tomography is enabled")
         return self
 
     def config_hash(self):

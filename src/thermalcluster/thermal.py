@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import build_graph_state, parent_hamiltonian
-from .linalg import hermitian_expm, tensor_all
+from .linalg import ConfigError, hermitian_expm, tensor_all
 
 __all__ = [
     "p_from_temperature",
@@ -29,7 +29,7 @@ def p_from_temperature(t_over_delta):
     """Dephasing strength p = 2/(1 + e^(Delta/T)); p(0) = 0, p(inf) = 1."""
     t = float(t_over_delta)
     if not t >= 0:
-        raise ValueError("temperature must be nonnegative")
+        raise ConfigError("temperature must be nonnegative")
     if t == 0:
         return 0.0
     if np.isinf(t):
@@ -43,7 +43,7 @@ def temperature_from_p(p):
     """Inverse map T/Delta = 1/(ln(2-p) - ln p); 0 at p=0, +inf at p=1."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+        raise ConfigError("p must lie in [0, 1]")
     if p == 0.0:
         return 0.0
     if p == 1.0:
@@ -58,10 +58,11 @@ def gibbs_state(g, t_over_delta):
     built with gap 1 and the exponent is -H / t_over_delta.
     """
     t = float(t_over_delta)
-    if not t >= 0:
-        raise ValueError("temperature must be nonnegative")
     dim = 2**g.n_vertices
-    if t == 0:
+    # where e^(-1/T) underflows (T below about 1/745) the state is the ground
+    # projector to double precision; there the inexact ground-energy shift
+    # below, divided by T, would overflow the exponential
+    if p_from_temperature(t) == 0:
         psi = build_graph_state(g)
         return np.outer(psi, psi.conj())
     if np.isinf(t):
@@ -88,9 +89,9 @@ def thermal_state_model(g, p, alpha=np.pi):
     implementations are fit by.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+        raise ConfigError("p must lie in [0, 1]")
     if not -np.inf < alpha < np.inf:
-        raise ValueError("alpha must be finite")
+        raise ConfigError("alpha must be finite")
     psi = build_graph_state(g)
     # one qubit's factor: entry [b_i, b_j]; b_i = 0, b_j = 1 gives e^(-i*alpha)
     c = (1.0 - p / 2.0) + (p / 2.0) * np.exp(-1j * alpha)

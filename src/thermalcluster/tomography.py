@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import KETS
+from .linalg import KETS, ConfigError
 
 __all__ = [
     "STANDARD_ALPHABET",
@@ -52,7 +52,6 @@ __all__ = [
     "poisson_log_likelihood",
     "linear_inversion",
     "mle_reconstruct",
-    "monte_carlo_states",
     "monte_carlo_statistic",
 ]
 
@@ -63,7 +62,7 @@ STANDARD_ALPHABET = ("z0", "z1", "x+", "y+")
 def standard_settings(n):
     """All 4^n product settings over {|0>, |1>, |+>, |r>}."""
     if n < 1:
-        raise ValueError("need at least one qubit")
+        raise ConfigError("need at least one qubit")
     return list(itertools.product(STANDARD_ALPHABET, repeat=n))
 
 
@@ -136,12 +135,19 @@ def setting_label(setting):
 def parse_setting_label(label):
     """Inverse of setting_label; labels are fixed-width two-character tokens."""
     if len(label) % 2 != 0:
-        raise ValueError(f"bad setting label {label!r}")
+        raise ConfigError(f"bad setting label {label!r}")
     toks = tuple(label[i : i + 2] for i in range(0, len(label), 2))
     for t in toks:
         if t not in KETS:
-            raise ValueError(f"unknown setting token {t!r} in {label!r}")
+            raise ConfigError(f"unknown setting token {t!r} in {label!r}")
     return toks
+
+
+def _number(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"bad number {text!r} in count table") from None
 
 
 @dataclass(frozen=True)
@@ -163,18 +169,18 @@ class CountRecord:
         counts = np.asarray(self.counts, dtype=float)
         object.__setattr__(self, "counts", counts)
         if counts.shape != (len(self.settings),):
-            raise ValueError(
+            raise ConfigError(
                 f"{counts.shape[0] if counts.ndim else 0} counts for "
                 f"{len(self.settings)} settings"
             )
         if not np.all((counts >= 0) & (counts < np.inf)):
-            raise ValueError("counts must be nonnegative and finite")
+            raise ConfigError("counts must be nonnegative and finite")
         if not 0 < self.flux < np.inf:
-            raise ValueError("flux must be positive and finite")
+            raise ConfigError("flux must be positive and finite")
         if not self.settings:
-            raise ValueError("a count record needs at least one setting")
+            raise ConfigError("a count record needs at least one setting")
         if len({len(s) for s in self.settings}) > 1:
-            raise ValueError("settings mix different numbers of qubits")
+            raise ConfigError("settings mix different numbers of qubits")
 
     @property
     def n_qubits(self):
@@ -203,15 +209,15 @@ class CountRecord:
                 key = key.strip()
                 val = val.strip()
                 if key == "flux":
-                    flux = float(val)
+                    flux = _number(float, val)
                 elif key == "seed":
-                    seed = None if val in ("None", "none") else int(val)
+                    seed = None if val in ("None", "none") else _number(int, val)
                 continue
             label, _, c_txt = line.partition(",")
             settings.append(parse_setting_label(label.strip()))
-            counts.append(float(c_txt))
+            counts.append(_number(float, c_txt))
         if flux is None:
-            raise ValueError("count table is missing the flux header")
+            raise ConfigError("count table is missing the flux header")
         return cls(settings=tuple(settings), counts=np.array(counts), flux=flux, seed=seed)
 
 
@@ -231,10 +237,16 @@ def expected_probabilities(rho, settings):
     return _probabilities(_linear_maps(settings).pf, rho)
 
 
+# numpy's Poisson sampler refuses means above about 9.2e18
+_MAX_FLUX = 1e18
+
+
 def simulate_counts(rho, settings, flux, seed):
     """Draw one Poisson count per setting with mean flux * Tr(rho * Pi)."""
-    if not 0 < flux < np.inf:
-        raise ValueError("flux must be positive and finite")
+    if not 0 < flux <= _MAX_FLUX:
+        raise ConfigError(f"flux must be positive and at most {_MAX_FLUX:g}")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     means = np.clip(expected_probabilities(rho, settings), 0.0, None) * flux
     rng = np.random.default_rng(seed)
     counts = rng.poisson(means).astype(float)
@@ -279,7 +291,7 @@ def linear_inversion(rec):
     if rec.counts.sum() == 0:
         return ReconstructionResult(rho=np.eye(d, dtype=complex) / d, method="LINEAR")
     if maps.rank < d * d:
-        raise ValueError("settings are not informationally complete (rank-deficient)")
+        raise ConfigError("settings are not informationally complete (rank-deficient)")
     return ReconstructionResult(rho=_linear_estimate(maps, rec), method="LINEAR")
 
 
@@ -483,34 +495,22 @@ def _resample(rec, seed):
     return CountRecord(settings=rec.settings, counts=counts, flux=rec.flux, seed=seed)
 
 
-def monte_carlo_states(rec, n_samples, seed):
-    """Yield MLE reconstructions of Poisson-resampled count records.
-
-    Sample k draws counts ~ Poisson(mean = observed counts) from the
-    generator seeded with seed + k, so the stream is independent of any
-    scheduling or chunking of the consumer. All samples are solved in one
-    ``_mle_batch`` before the first is yielded; a sample's state
-    does not depend on the others in its batch, so sample k of seed s is
-    bit for bit sample k - 1 of seed s + 1.
-    """
-    samples = [_resample(rec, seed + k) for k in range(n_samples)]
-    try:
-        results = _mle_batch(samples)
-    except Exception as exc:
-        raise RuntimeError("reconstruction of the resamples failed") from exc
-    for res in results:
-        yield res.rho
-
-
 def monte_carlo_statistic(rec, statistic, n_samples, seed):
     """Mean and standard deviation of a statistic over count resamples.
 
     The usual error-bar procedure for counting experiments: resample every
     count from a Poisson distribution centered on the observed value,
     reconstruct each resample by maximum likelihood, and evaluate the
-    statistic. Returns (mean, sample std).
+    statistic. Returns (mean, sample std). Sample k draws its counts from
+    the generator seeded with seed + k, and all samples are solved in one
+    ``_mle_batch``, in which no state depends on the others.
     """
     if n_samples < 2:
-        raise ValueError("need at least 2 samples for a standard deviation")
-    vals = [float(statistic(rho)) for rho in monte_carlo_states(rec, n_samples, seed)]
+        raise ConfigError("need at least 2 samples for a standard deviation")
+    samples = [_resample(rec, seed + k) for k in range(n_samples)]
+    try:
+        results = _mle_batch(samples)
+    except Exception as exc:
+        raise RuntimeError("reconstruction of the resamples failed") from exc
+    vals = [float(statistic(res.rho)) for res in results]
     return float(np.mean(vals)), float(np.std(vals, ddof=1))

@@ -1,5 +1,8 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -211,3 +214,48 @@ def test_cli_output_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.filterwarnings("error")
+def test_extreme_inputs_exit_codes(tmp_path, capsys):
+    # the spectrum check is made in units of the gap, so any positive finite
+    # gap passes; the Gibbs state at T below ~1/745 is the ground projector
+    for argv in (
+        ["spectrum", "--gap", "1e6"],
+        ["spectrum", "--gap", "1e12"],
+        ["spectrum", "--gap", "1e-11"],
+        ["sweep", "--t-grid", "1e-20"],
+    ):
+        assert main(argv) == 0, argv
+    # a flux beyond numpy's Poisson sampler, and one vertex over the cap on
+    # dense Hamiltonians, are configuration errors
+    for argv in (
+        ["tomo", "--t", "1", "--flux", "1e300"],
+        ["sweep", "--p-grid", "0.5", "--tomography", "--flux", "1e300", "--mc-samples", "2"],
+        ["spectrum", "--graph", "11;"],
+    ):
+        assert main(argv) == 1, argv
+    # counts read from a file do not use --flux or --seed
+    counts = tmp_path / "counts.txt"
+    assert main(["tomo", "--t", "1", "--flux", "500", "--save-counts", str(counts)]) == 0
+    argv = ["tomo", "--t", "1", "--load-counts", str(counts), "--flux", "inf", "--seed", "-1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+def readme_command_lines():
+    # every `thermalcluster ...` line of the README's "Command line" section,
+    # with backslash continuations joined
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = "\n".join(re.findall(r"```sh\n(.*?)```", section, re.S)).replace("\\\n", " ")
+    return [ln.strip() for ln in lines.splitlines() if ln.strip().startswith("thermalcluster ")]
+
+
+def test_readme_command_lines_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_command_lines()
+    assert len(lines) >= 5
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()

@@ -5,7 +5,29 @@ import numpy as np
 import pytest
 
 from thermalcluster import __version__
-from thermalcluster.entanglement import BOUND, FREE, PPT_ALL
+from thermalcluster.entanglement import BOUND, FREE, PPT_ALL, transition_points
+from thermalcluster.graphs import (
+    CHAIN,
+    Graph,
+    linear_graph,
+    parent_hamiltonian,
+    parse_graph,
+    verify_spectrum,
+)
+from thermalcluster.mbqc import haar_average_fidelity
+from thermalcluster.thermal import (
+    gibbs_state,
+    p_from_temperature,
+    temperature_from_p,
+    thermal_state_model,
+)
+from thermalcluster.tomography import (
+    CountRecord,
+    monte_carlo_statistic,
+    parse_setting_label,
+    simulate_counts,
+    standard_settings,
+)
 from thermalcluster.sweep import (
     CSV_COLUMNS,
     ConfigError,
@@ -55,6 +77,66 @@ def test_config_field_validation():
     for alpha in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="alpha"):
             run_sweep(SweepConfig(p_grid=(0.5,), alpha=alpha))
+
+
+def tomography_sweep(**fields):
+    fields = {"p_grid": (0.5,), "tomography_enabled": True, **fields}
+    return lambda: run_sweep(SweepConfig(**fields))
+
+
+def record(**fields):
+    fields = {"settings": standard_settings(1), "counts": np.ones(4), "flux": 1.0, **fields}
+    return lambda: CountRecord(**fields)
+
+
+def counts(flux=1e3, seed=0):
+    rho = thermal_state_model(CHAIN, 0.5)
+    return lambda: simulate_counts(rho, standard_settings(3), flux, seed)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: p_from_temperature(-1.0), id="p_from_temperature"),
+    pytest.param(lambda: temperature_from_p(1.5), id="temperature_from_p"),
+    pytest.param(lambda: gibbs_state(CHAIN, float("nan")), id="gibbs_state"),
+    pytest.param(lambda: thermal_state_model(CHAIN, 1.5), id="model_p"),
+    pytest.param(lambda: thermal_state_model(CHAIN, 0.5, float("inf")), id="model_alpha"),
+    pytest.param(counts(flux=0.0), id="simulate_flux_zero"),
+    pytest.param(counts(flux=1e300), id="simulate_flux_beyond_sampler"),
+    pytest.param(counts(seed=-1), id="simulate_seed"),
+    pytest.param(record(counts=np.ones(3)), id="record_shape"),
+    pytest.param(record(flux=float("inf")), id="record_flux"),
+    pytest.param(lambda: CountRecord.from_text("z0,3\n"), id="from_text"),
+    pytest.param(lambda: CountRecord.from_text("# flux = 1\nz0,abc\n"), id="from_text_count"),
+    pytest.param(lambda: parse_setting_label("z0q-"), id="parse_setting_label"),
+    pytest.param(lambda: Graph(3, frozenset({(0, 0)})), id="graph"),
+    pytest.param(lambda: parse_graph("x; 0-1"), id="parse_graph"),
+    pytest.param(lambda: linear_graph(1), id="linear_graph"),
+    pytest.param(lambda: parent_hamiltonian(CHAIN, gap=float("inf")), id="gap_infinite"),
+    pytest.param(lambda: parent_hamiltonian(CHAIN, gap=0.0), id="gap_zero"),
+    # one vertex over the cap; refused before any allocation
+    pytest.param(lambda: parent_hamiltonian(Graph(11)), id="vertex_cap"),
+    pytest.param(lambda: verify_spectrum(CHAIN, gap=-1.0), id="verify_spectrum"),
+    pytest.param(lambda: standard_settings(0), id="standard_settings"),
+    pytest.param(lambda: transition_points(np.pi, tol=-1.0), id="transition_tol"),
+    pytest.param(lambda: haar_average_fidelity(np.eye(8) / 8, 0, seed=0), id="haar_samples"),
+    pytest.param(lambda: monte_carlo_statistic(record()(), np.trace, 1, seed=0), id="mc_samples"),
+    pytest.param(tomography_sweep(mc_samples=2.5), id="sweep_mc_samples_float"),
+    pytest.param(tomography_sweep(seed=1.5), id="sweep_seed_float"),
+    pytest.param(tomography_sweep(tomography_enabled="no"), id="sweep_flag_string"),
+    pytest.param(tomography_sweep(flux="abc"), id="sweep_flux_string"),
+    pytest.param(tomography_sweep(p_grid=5), id="sweep_grid_number"),
+])
+def test_bad_input_raises_config_error(call, monkeypatch):
+    # one exception type for bad input, which is also a ValueError; a sweep
+    # raises it before it builds its first state
+    def no_work(*args):
+        raise AssertionError("the sweep started work on a bad config")
+
+    monkeypatch.setattr("thermalcluster.sweep.thermal_state_model", no_work)
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 def test_config_hash_ignores_workers():

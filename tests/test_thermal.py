@@ -64,6 +64,16 @@ def test_gibbs_endpoints():
     assert np.allclose(gibbs_state(g, np.inf), np.eye(8) / 8)
 
 
+@pytest.mark.filterwarnings("error")
+def test_gibbs_state_below_the_underflow_temperature():
+    # e^(-1/T) underflows below T ~ 1/745: the state is the ground projector
+    # there, where exponentiating -H/T would overflow
+    g = linear_graph(3)
+    psi = build_graph_state(g)
+    for t in (1e-320, 1e-20, 1e-3):
+        assert np.array_equal(gibbs_state(g, t), np.outer(psi, psi.conj()))
+
+
 def test_gibbs_vs_dephasing_oracle():
     # the two independent constructions must agree for every chain length
     for n in (2, 3, 4):

@@ -11,10 +11,10 @@ from thermalcluster.tomography import (
     MLE_TOL,
     CountRecord,
     _mle_batch,
+    _resample,
     expected_probabilities,
     linear_inversion,
     mle_reconstruct,
-    monte_carlo_states,
     monte_carlo_statistic,
     parse_setting_label,
     poisson_log_likelihood,
@@ -213,11 +213,14 @@ def test_monte_carlo_seed_indexing():
     # indexed by seed + k, independent of how the consumer batches it
     rho = model_state()
     rec = simulate_counts(rho, standard_settings(3), 1e3, seed=0)
-    # each call's samples are solved in one batch, and a sample's state
-    # does not depend on the rest of its batch
-    mle_a = list(monte_carlo_states(rec, 3, seed=10))
-    mle_b = list(monte_carlo_states(rec, 2, seed=11))
-    (mle_c,) = monte_carlo_states(rec, 1, seed=12)
+
+    def samples(n, seed):
+        # as monte_carlo_statistic draws and solves them
+        return [res.rho for res in _mle_batch([_resample(rec, seed + k) for k in range(n)])]
+
+    mle_a = samples(3, seed=10)
+    mle_b = samples(2, seed=11)
+    (mle_c,) = samples(1, seed=12)
     assert np.array_equal(mle_a[1], mle_b[0])
     assert np.array_equal(mle_a[2], mle_b[1])
     assert np.array_equal(mle_a[2], mle_c)
@@ -246,7 +249,7 @@ def test_monte_carlo_wraps_reconstruction_failures(monkeypatch):
     monkeypatch.setattr("thermalcluster.tomography._mle_batch", failing_batch)
     rec = CountRecord(settings=standard_settings(1), counts=np.ones(4), flux=1.0)
     with pytest.raises(RuntimeError, match="reconstruction of the resamples failed"):
-        list(monte_carlo_states(rec, 2, seed=0))
+        monte_carlo_statistic(rec, lambda r: 0.0, 2, seed=0)
 
 
 @pytest.mark.filterwarnings("error")
