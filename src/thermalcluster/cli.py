@@ -142,7 +142,7 @@ def _build_sweep_config(args):
         fields["seed"] = args.seed
     if args.tomography:
         fields["tomography_enabled"] = True
-    return SweepConfig(**fields).validate()
+    return SweepConfig(**fields)
 
 
 def _cmd_sweep(args):

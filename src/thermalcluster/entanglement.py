@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CHAIN
-from .linalg import ConfigError, partial_transpose, trace_norm
+from .linalg import ConfigError, _float_or_stack, partial_transpose, trace_norm
 from .thermal import temperature_from_p, thermal_state_model
 
 __all__ = [
@@ -45,10 +45,15 @@ def negativity(rho, side_a, n=None):
 
     Equals the absolute sum of the negative eigenvalues of rho^(T_A): zero
     exactly for PPT states, and 1/2 for a two-qubit maximally entangled
-    state. Tiny negative results from roundoff are clamped to 0.
+    state. Tiny negative results from roundoff are clamped to 0. A stack
+    (..., d, d) gives an array of negativities from one batched eigvalsh.
     """
-    pt = partial_transpose(rho, side_a, n)
-    return max(0.0, 0.5 * (trace_norm(pt) - 1.0))
+    return _negativity_of_pt(partial_transpose(rho, side_a, n))
+
+
+def _negativity_of_pt(pt):
+    x = 0.5 * (trace_norm(pt) - 1.0)
+    return _float_or_stack(np.where(x > 0.0, x, 0.0))
 
 
 def all_bipartitions(n):
@@ -118,24 +123,6 @@ class TransitionPoints:
     t_bound_to_ppt: float
 
 
-def _bisect_decreasing(f):
-    # root of a decreasing f on the dephasing range [0, 1]; 80 halvings
-    # reach the resolution of a double
-    lo, hi = 0.0, 1.0
-    flo, fhi = f(lo), f(hi)
-    if flo <= 0 or fhi > 0:
-        raise BracketingError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
-        )
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def transition_points(alpha, tol=DEFAULT_TOL):
     """Locate where the end-qubit and middle-qubit negativities die out.
 
@@ -144,19 +131,43 @@ def transition_points(alpha, tol=DEFAULT_TOL):
     falls to ``tol`` (free -> bound), the second where N_Bs does (bound ->
     PPT everywhere). Raises BracketingError when a curve never crosses,
     e.g. alpha = 0 where the channel is the identity.
+
+    The two curves are bisected in lockstep: each round builds the states
+    at both midpoints with one thermal_state_model call and takes their
+    three negativities from one batched eigvalsh. The cap is 80 halvings,
+    the resolution of a double, but the search stops as soon as no
+    midpoint lies strictly inside its bracket: f(lo) > 0 >= f(hi) holds
+    throughout, so later rounds would change nothing.
     """
     if not tol >= 0:
         raise ConfigError("tol must be nonnegative")
 
-    def end_neg(p):
-        rho = thermal_state_model(CHAIN, p, alpha)
-        return min(negativity(rho, (0,), 3), negativity(rho, (2,), 3))
+    def excess(p_end, p_mid):
+        # negativity - tol of the end curve at p_end and the middle one at p_mid
+        rho_end, rho_mid = thermal_state_model(CHAIN, np.array([p_end, p_mid]), alpha)
+        n_ap, n_bp, n_bs = _negativity_of_pt(np.stack([
+            partial_transpose(rho_end, (0,), 3),
+            partial_transpose(rho_end, (2,), 3),
+            partial_transpose(rho_mid, (1,), 3),
+        ]))
+        return [min(n_ap, n_bp) - tol, n_bs - tol]
 
-    def mid_neg(p):
-        return negativity(thermal_state_model(CHAIN, p, alpha), (1,), 3)
-
-    p_end = _bisect_decreasing(lambda p: end_neg(p) - tol)
-    p_mid = _bisect_decreasing(lambda p: mid_neg(p) - tol)
+    lo, hi = [0.0, 0.0], [1.0, 1.0]
+    for flo, fhi in zip(excess(*lo), excess(*hi)):
+        if flo <= 0 or fhi > 0:
+            raise BracketingError(
+                f"no sign change on [0.0, 1.0]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
+            )
+    for _ in range(80):
+        mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
+        if not any(a < m < b for a, m, b in zip(lo, mid, hi)):
+            break
+        for k, f in enumerate(excess(*mid)):
+            if f > 0:
+                lo[k] = mid[k]
+            else:
+                hi[k] = mid[k]
+    p_end, p_mid = (0.5 * (a + b) for a, b in zip(lo, hi))
     return TransitionPoints(
         p_free_to_bound=p_end,
         p_bound_to_ppt=p_mid,

@@ -1,11 +1,12 @@
 """Temperature sweeps over the 3-qubit chain and result-table emission.
 
 A sweep walks a grid of dephasing strengths (or temperatures), builds the
-model state at each point, and collects negativities, the entanglement
-class, the preparation fidelity, and the fidelity against the ideal Gibbs
-state. With tomography enabled the quantities come from a simulated
-reconstruction instead, with Monte Carlo error bars attached and the
-classification thresholds replaced by those error bars.
+model states of all its points as one stack, and collects negativities,
+the entanglement class, the preparation fidelity, and the fidelity against
+the ideal Gibbs state, each from one batched call over the stack. With
+tomography enabled the quantities come from a simulated reconstruction
+instead, with Monte Carlo error bars attached and the classification
+thresholds replaced by those error bars.
 
 A tomography sweep first draws every count record it needs, each point's
 record followed by its Monte Carlo resamples, and then solves them all in
@@ -168,47 +169,61 @@ def _grid_points(cfg):
     return [(p_from_temperature(t), float(t)) for t in cfg.t_grid]
 
 
-def _row(p, t, rho, errs=(0.0,) * 4):
-    # errs: the error bars of the three negativities and of the preparation
-    # fidelity, zero for a model row
-    negs = [negativity(rho, c, 3) for c in _CUTS]
-    # classification significance at one Monte Carlo standard deviation
-    tols = [max(e, DEFAULT_TOL) for e in errs[:3]]
-    return SweepPoint(
-        p=p, t_over_delta=t,
-        neg_ap=negs[0], neg_bp=negs[1], neg_bs=negs[2],
-        err_ap=float(errs[0]), err_bp=float(errs[1]), err_bs=float(errs[2]),
-        klass=classify_values(negs, tols),
-        avg_fidelity=average_preparation_fidelity(rho),
-        fid_error=float(errs[3]),
-        state_fidelity_vs_ideal=fidelity(rho, gibbs_state(CHAIN, t)),
-    )
+def _measure(rhos):
+    # the negativities of each state of a C-contiguous stack, one column per
+    # cut in _CUTS order, and its preparation fidelity, taken row by row: the
+    # vdot of a contiguous row gives the bits of the single call
+    negs = np.stack([negativity(rhos, c, 3) for c in _CUTS], axis=-1)
+    return negs, np.array([average_preparation_fidelity(rho) for rho in rhos])
+
+
+def _rows(pts, rhos, negs, fids, errs):
+    # errs: per point, the error bars of the three negativities and of the
+    # preparation fidelity, zero for model rows
+    ideal = fidelity(rhos, gibbs_state(CHAIN, np.array([t for _, t in pts])))
+    rows = []
+    for (p, t), neg, fid, err, f in zip(pts, negs, fids, errs, ideal):
+        # classification significance at one Monte Carlo standard deviation
+        tols = [max(e, DEFAULT_TOL) for e in err[:3]]
+        rows.append(SweepPoint(
+            p=p, t_over_delta=t,
+            neg_ap=float(neg[0]), neg_bp=float(neg[1]), neg_bs=float(neg[2]),
+            err_ap=float(err[0]), err_bp=float(err[1]), err_bs=float(err[2]),
+            klass=classify_values(neg, tols),
+            avg_fidelity=float(fid),
+            fid_error=float(err[3]),
+            state_fidelity_vs_ideal=float(f),
+        ))
+    return rows
 
 
 def run_sweep(cfg):
-    """Evaluate every grid point; rows are ordered by grid index."""
+    """Evaluate every grid point; rows are ordered by grid index.
+
+    The model states of all points are one stack, and every quantity of a
+    row comes from one batched call over the stack.
+    """
     cfg.validate()
     pts = _grid_points(cfg)
+    models = thermal_state_model(CHAIN, np.array([p for p, _ in pts]), cfg.alpha)
     if not cfg.tomography_enabled:
-        return [_row(p, t, thermal_state_model(CHAIN, p, cfg.alpha)) for p, t in pts]
+        return _rows(pts, models, *_measure(models), np.zeros((len(pts), 4)))
     settings = standard_settings(3)
     recs = []
-    for i, (p, _) in enumerate(pts):
-        model = thermal_state_model(CHAIN, p, cfg.alpha)
+    for i, model in enumerate(models):
         point_seed = cfg.seed + i * _SEED_STRIDE
         rec = simulate_counts(model, settings, cfg.flux, seed=point_seed)
         recs.append(rec)
         recs += [_resample(rec, point_seed + 1 + k) for k in range(cfg.mc_samples)]
-    rhos = [res.rho for res in _mle_batch(recs)]
+    # each point's reconstruction followed by those of its resamples
+    rhos = np.stack([res.rho for res in _mle_batch(recs)])
+    negs, fids = _measure(rhos)
     n = 1 + cfg.mc_samples
-    rows = []
-    for i, (p, t) in enumerate(pts):
-        samples = np.array([
-            [negativity(rho_k, c, 3) for c in _CUTS] + [average_preparation_fidelity(rho_k)]
-            for rho_k in rhos[i * n + 1 : (i + 1) * n]
-        ])
-        rows.append(_row(p, t, rhos[i * n], np.std(samples, axis=0, ddof=1)))
-    return rows
+    errs = [
+        np.std(np.column_stack([negs[i + 1 : i + n], fids[i + 1 : i + n]]), axis=0, ddof=1)
+        for i in range(0, len(rhos), n)
+    ]
+    return _rows(pts, rhos[::n], negs[::n], fids[::n], errs)
 
 
 def _cells(pt):

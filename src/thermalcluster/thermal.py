@@ -12,10 +12,12 @@ t = +inf the maximally mixed state.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .graphs import build_graph_state, parent_hamiltonian
-from .linalg import ConfigError, hermitian_expm, tensor_all
+from .linalg import ConfigError
 
 __all__ = [
     "p_from_temperature",
@@ -55,23 +57,41 @@ def gibbs_state(g, t_over_delta):
     """e^(-H/T) / Tr e^(-H/T) for the parent Hamiltonian of ``g``.
 
     The state depends on the graph and the ratio T/Delta only, so H is
-    built with gap 1 and the exponent is -H / t_over_delta.
+    built with gap 1 and the exponent is -H / t_over_delta. The
+    eigendecomposition of H is computed once per graph.
+
+    An array of temperatures gives a C-contiguous stack (..., d, d) from one
+    batched product; item i is the state at t_over_delta[i] to the bit, each
+    temperature taking its own branch (ground projector, T = inf, or the
+    exponential).
     """
-    t = float(t_over_delta)
+    t = np.asarray(t_over_delta, dtype=float)
+    p = np.array([p_from_temperature(x) for x in t.ravel()]).reshape(t.shape)
     dim = 2**g.n_vertices
+    out = np.empty(t.shape + (dim, dim), dtype=complex)
     # where e^(-1/T) underflows (T below about 1/745) the state is the ground
     # projector to double precision; there the inexact ground-energy shift
-    # below, divided by T, would overflow the exponential
-    if p_from_temperature(t) == 0:
-        psi = build_graph_state(g)
-        return np.outer(psi, psi.conj())
-    if np.isinf(t):
-        return np.eye(dim, dtype=complex) / dim
+    # of _shifted_eigh, divided by T, would overflow the exponential
+    out[p == 0] = _pure_state_and_factor_index(g)[0]
+    out[np.isinf(t)] = np.eye(dim, dtype=complex) / dim
+    warm = (p > 0) & ~np.isinf(t)
+    if warm.any():
+        w, v = _shifted_eigh(g)
+        rho = (v * np.exp(np.multiply.outer(-1.0 / t[warm], w))[..., None, :]) @ v.conj().T
+        out[warm] = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _shifted_eigh(g):
+    # eigendecomposition of H - E_0: shifting by the ground energy keeps
+    # e^(-(H - E_0)/T) from overflowing
     h = parent_hamiltonian(g)
-    # shift by the ground energy before exponentiating to avoid overflow
     shift = float(np.linalg.eigvalsh(h)[0])
-    rho = hermitian_expm(h - shift * np.eye(dim), -1.0 / t)
-    return rho / np.trace(rho).real
+    w, v = np.linalg.eigh(h - shift * np.eye(h.shape[0]))
+    for arr in (w, v):
+        arr.flags.writeable = False
+    return w, v
 
 
 def thermal_state_model(g, p, alpha=np.pi):
@@ -84,16 +104,41 @@ def thermal_state_model(g, p, alpha=np.pi):
     where b_i^q is bit q of i, and leaves the populations alone. So the
     state is exactly |G><G| multiplied entry by entry by K.
 
+    An array of p gives a C-contiguous stack (..., d, d), item i the state
+    at p[i] to the bit.
+
     With alpha = pi this is the Gibbs state at temperature_from_p(p);
     alpha = 0.84*pi models an imperfect entangling gate of the kind photonic
     implementations are fit by.
     """
-    if not 0.0 <= p <= 1.0:
+    p = np.asarray(p, dtype=float)
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ConfigError("p must lie in [0, 1]")
     if not -np.inf < alpha < np.inf:
         raise ConfigError("alpha must be finite")
-    psi = build_graph_state(g)
-    # one qubit's factor: entry [b_i, b_j]; b_i = 0, b_j = 1 gives e^(-i*alpha)
+    pure, factor_index = _pure_state_and_factor_index(g)
+    # one qubit's factor [[1, c], [conj(c), 1]], flattened: entry 2 b_i + b_j;
+    # b_i = 0, b_j = 1 gives e^(-i*alpha)
     c = (1.0 - p / 2.0) + (p / 2.0) * np.exp(-1j * alpha)
-    k = np.array([[1.0, c], [np.conj(c), 1.0]])
-    return np.outer(psi, psi.conj()) * tensor_all([k] * g.n_vertices)
+    one = np.ones_like(c)
+    k = np.stack([one, c, np.conj(c), one], axis=-1)
+    # K_ij is the product over qubits of their factors' entries, taken in
+    # qubit order (k_0 k_1) k_2 ... as the Kronecker product k (x) k (x) ...
+    kk = k[..., factor_index[0]]
+    for idx in factor_index[1:]:
+        kk = kk * k[..., idx]
+    return np.ascontiguousarray(pure * kk)
+
+
+@functools.lru_cache(maxsize=8)
+def _pure_state_and_factor_index(g):
+    # |G><G|, and for each qubit q the d x d table 2 b_i^q + b_j^q into its
+    # flattened 2 x 2 factor, where b_i^q is bit q of i (qubit 0 leftmost)
+    psi = build_graph_state(g)
+    pure = np.outer(psi, psi.conj())
+    n = g.n_vertices
+    bits = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    factor_index = 2 * bits[:, :, None] + bits[:, None, :]
+    for arr in (pure, factor_index):
+        arr.flags.writeable = False
+    return pure, factor_index

@@ -6,13 +6,14 @@ from thermalcluster.entanglement import (
     FREE,
     PPT_ALL,
     BracketingError,
+    TransitionPoints,
     all_bipartitions,
     classify,
     classify_values,
     negativity,
     transition_points,
 )
-from thermalcluster.graphs import linear_graph
+from thermalcluster.graphs import CHAIN, linear_graph
 from thermalcluster.thermal import temperature_from_p, thermal_state_model
 
 
@@ -122,6 +123,69 @@ def test_transition_points_require_bracketing():
         transition_points(0.0)
     with pytest.raises(ValueError, match="alpha"):
         transition_points(float("nan"))
+
+
+def _bisect_decreasing(f):
+    # one curve at a time, 80 halvings: the search transition_points ran
+    # before it bisected both curves in lockstep
+    lo, hi = 0.0, 1.0
+    flo, fhi = f(lo), f(hi)
+    if flo <= 0 or fhi > 0:
+        raise BracketingError(
+            f"no sign change on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
+        )
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _sequential_transition_points(alpha, tol):
+    def end_neg(p):
+        rho = thermal_state_model(CHAIN, p, alpha)
+        return min(negativity(rho, (0,), 3), negativity(rho, (2,), 3))
+
+    def mid_neg(p):
+        return negativity(thermal_state_model(CHAIN, p, alpha), (1,), 3)
+
+    p_end = _bisect_decreasing(lambda p: end_neg(p) - tol)
+    p_mid = _bisect_decreasing(lambda p: mid_neg(p) - tol)
+    return TransitionPoints(
+        p_end, p_mid, temperature_from_p(p_end), temperature_from_p(p_mid)
+    )
+
+
+# at tol 0.1 the two roots lie on either side of p = 1/2, so the two
+# curves run out of representable midpoints in different rounds
+@pytest.mark.parametrize("tol", [0.02, 1e-3, 1e-9, 0.1])
+@pytest.mark.parametrize("a", [0.8, 0.84, 0.9, 1.0])
+def test_transition_points_match_sequential_bisection(a, tol):
+    # the lockstep search and its early stop give every field to the bit;
+    # where the reference finds no bracket, it fails the same way
+    try:
+        ref = _sequential_transition_points(a * np.pi, tol)
+    except BracketingError as err:
+        with pytest.raises(BracketingError) as got:
+            transition_points(a * np.pi, tol)
+        assert str(got.value) == str(err)
+        return
+    got = transition_points(a * np.pi, tol)
+    assert got == ref
+    assert [float(v).hex() for v in vars(got).values()] == [
+        float(v).hex() for v in vars(ref).values()
+    ]
+
+
+def test_transition_points_report_the_curve_that_fails_to_bracket():
+    # at 0.8 pi the end curve brackets a root at tol 1e-9 but the middle one
+    # does not: N_Bs stays at 0.0065 at p = 1
+    with pytest.raises(BracketingError, match=r"f\(hi\)=6\.506e-03$"):
+        transition_points(0.8 * np.pi, 1e-9)
+    with pytest.raises(BracketingError, match=r"f\(hi\)=5\.000e-01$"):
+        transition_points(0.0, 1e-9)
 
 
 @pytest.mark.filterwarnings("error")

@@ -5,7 +5,6 @@ from thermalcluster.linalg import (
     KETS,
     PositivityError,
     fidelity,
-    hermitian_expm,
     partial_transpose,
     tensor_all,
     trace_norm,
@@ -97,17 +96,6 @@ def test_partial_transpose_separable_stays_positive():
     )
     w = np.linalg.eigvalsh(partial_transpose(rho, [0]))
     assert w[0] > -1e-12
-
-
-def test_hermitian_expm():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = (a + a.conj().T) / 2
-    e = hermitian_expm(h, -0.3)
-    # inverse check: exp(-0.3 h) exp(0.3 h) = 1
-    assert np.allclose(e @ hermitian_expm(h, 0.3), np.eye(4), atol=1e-12)
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_expm(a)
 
 
 def test_trace_norm():

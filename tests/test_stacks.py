@@ -1,0 +1,111 @@
+"""Stacked primitives: item i of a stacked call is the single call on item i.
+
+The sweep and the regime search are built on these stacks, so they also
+pin how few calls one sweep and one search make.
+"""
+
+import numpy as np
+import pytest
+
+from thermalcluster import entanglement, sweep
+from thermalcluster.entanglement import negativity, transition_points
+from thermalcluster.graphs import CHAIN
+from thermalcluster.linalg import PositivityError, fidelity
+from thermalcluster.sweep import SweepConfig, run_sweep
+from thermalcluster.thermal import (
+    gibbs_state,
+    p_from_temperature,
+    temperature_from_p,
+    thermal_state_model,
+)
+
+P_GRID = (0.0, 0.3, 1.0)
+T_GRID = (0.0, 1e-20, 0.7, np.inf)
+# the regime map's temperature grid
+DENSE_T = tuple(0.05 * k for k in range(1, 61))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("a", [0.8, 0.84, 1.0])
+def test_stacked_model_state_negativity_and_fidelity(a):
+    alpha = a * np.pi
+    stack = thermal_state_model(CHAIN, np.array(P_GRID), alpha)
+    assert stack.shape == (3, 8, 8) and stack.flags.c_contiguous
+    singles = [thermal_state_model(CHAIN, p, alpha) for p in P_GRID]
+    assert all(_same_bits(s, r) for s, r in zip(stack, singles))
+    for cut in ((0,), (1,), (2,)):
+        negs = negativity(stack, cut, 3)
+        assert negs.tolist() == [negativity(r, cut, 3) for r in singles]
+    ts = [temperature_from_p(p) for p in P_GRID]
+    fids = fidelity(stack, gibbs_state(CHAIN, np.array(ts)))
+    assert fids.tolist() == [fidelity(r, gibbs_state(CHAIN, t)) for r, t in zip(singles, ts)]
+    reverse = thermal_state_model(CHAIN, np.array(P_GRID[::-1]), alpha)
+    assert _same_bits(reverse, stack[::-1].copy())
+
+
+@pytest.mark.parametrize("ts", [T_GRID, DENSE_T])
+def test_stacked_gibbs_state(ts):
+    stack = gibbs_state(CHAIN, np.array(ts))
+    assert stack.shape == (len(ts), 8, 8) and stack.flags.c_contiguous
+    assert all(_same_bits(s, gibbs_state(CHAIN, t)) for s, t in zip(stack, ts))
+    reverse = gibbs_state(CHAIN, np.array(ts[::-1]))
+    assert _same_bits(reverse, stack[::-1].copy())
+
+
+def test_stacked_fidelity_on_the_regime_grid():
+    # the rows of a model sweep: 60 states against their Gibbs states
+    ps = np.array([p_from_temperature(t) for t in DENSE_T])
+    rhos = thermal_state_model(CHAIN, ps, 0.84 * np.pi)
+    sigmas = gibbs_state(CHAIN, np.array(DENSE_T))
+    assert fidelity(rhos, sigmas).tolist() == [fidelity(r, s) for r, s in zip(rhos, sigmas)]
+
+
+def test_stacked_fidelity_raises_when_one_matrix_is_not_positive():
+    good = np.eye(4, dtype=complex) / 4
+    bad = np.diag([0.5, 0.5, 1e-6, -1e-6]).astype(complex)
+    with pytest.raises(PositivityError, match="-1.000e-06"):
+        fidelity(bad, good)
+    with pytest.raises(PositivityError, match="-1.000e-06"):
+        fidelity(np.stack([good, bad, good]), np.stack([good] * 3))
+    # on the second argument the product sqrt(rho) sigma sqrt(rho) fails
+    with pytest.raises(PositivityError):
+        fidelity(good, bad)
+    with pytest.raises(PositivityError):
+        fidelity(np.stack([good] * 3), np.stack([good, good, bad]))
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_model_sweep_makes_one_call_per_quantity(monkeypatch):
+    # a structural guard that timing on a shared host cannot give: a model
+    # sweep builds its states and their reference states in one call each
+    counts = {
+        name: _spy(monkeypatch, sweep, name)
+        for name in ("thermal_state_model", "gibbs_state", "negativity", "fidelity")
+    }
+    points = run_sweep(SweepConfig(t_grid=DENSE_T, alpha=0.84 * np.pi))
+    assert len(points) == 60
+    assert {name: len(c) for name, c in counts.items()} == {
+        "thermal_state_model": 1, "gibbs_state": 1, "negativity": 3, "fidelity": 1,
+    }
+
+
+def test_transition_points_builds_both_midpoints_in_one_call(monkeypatch):
+    # two bracket checks and at most 80 lockstep rounds; one curve at a
+    # time took 2 * (2 + 80) = 164 calls
+    calls = _spy(monkeypatch, entanglement, "thermal_state_model")
+    transition_points(0.84 * np.pi, 0.02)
+    assert 0 < len(calls) <= 82
