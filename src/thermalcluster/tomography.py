@@ -21,9 +21,10 @@ gradient of the likelihood is sum_s w_s Pi_s = (w P) reshaped.
 The solver works on a stack of records that share one settings tuple (a
 sweep's records and their Monte Carlo resamples); one record is a stack of
 one. Every unfinished record takes a Newton step in each round, with one
-batched ``eigh``, ``solve`` and ``eigvalsh`` for the whole stack. Every
-product is taken per record, never across records, so a record's result is
-the same bit for bit alone or in any batch.
+batched ``eigh`` and ``solve`` and two batched ``eigvalsh`` (the
+certificate's and the line search's) for the whole stack. Every product is
+taken per record, never across records, so a record's result is the same
+bit for bit alone or in any batch.
 
 All randomness flows from explicit integer seeds; nothing reads ambient
 entropy, so every pipeline built on this module is reproducible bit for bit.
@@ -342,12 +343,27 @@ def _rotated_map(wk, iu, ju, g):
     return a
 
 
+def _whitened_eigenvalues(lam, m):
+    # eigenvalues nu of W = lam^-1/2 m lam^-1/2, for a state rho = U diag(lam)
+    # U^H and a step U m U^H (one of each or stacks): rho + t U m U^H =
+    # U lam^1/2 (I + t W) lam^1/2 U^H is positive definite iff 1 + t nu_min > 0,
+    # and its log det exceeds log det rho by sum log1p(t nu)
+    s = 1.0 / np.sqrt(lam)
+    return np.linalg.eigvalsh(s[..., :, None] * m * s[..., None, :])
+
+
 # certified stop of the MLE: Frank-Wolfe gap <= MLE_TOL per count
 MLE_TOL = 1e-9
 # fraction of the Newton decrement a line-search step must gain (Armijo),
-# and the halvings of the step tried before a record stays put for a step
+# the halvings of the step tried before a record stays put for a step, and
+# the floor on 1 + t nu_min, nu the eigenvalues of the step whitened by rho:
+# a step keeps rho + t d_rho >= _BOUNDARY rho, a fraction 1 - _BOUNDARY of
+# the way to the boundary, so rounding cannot make rho singular
 _ARMIJO = 0.25
 _LINE_SEARCH_STEPS = 40
+_BOUNDARY = 0.01
+# factor by which mu falls once a record is near the barrier problem's maximum
+_MU_CUT = 30.0
 # records solved together; the Newton system takes about 150 KB per record
 _BATCH = 16
 
@@ -361,15 +377,21 @@ def mle_reconstruct(rec, max_iter=200):
     maximizes log L(rho) + mu log det rho over rho + sum_k x_k B~_k, where
     the B~_k are an orthonormal basis of the traceless Hermitian matrices
     taken in the eigenbasis of rho, so the trace stays 1 and the barrier's
-    Hessian has a closed form. The path starts at I/d with mu = N/d^2, N the
-    total count. A backtracking line search keeps rho positive definite and
-    asks for a quarter of the predicted ascent, computed from log1p of the
-    relative probability changes so that it stays exact at high flux, where
-    |log L| ~ 1e8. mu falls tenfold whenever the squared Newton decrement is
-    below mu/2, that is near the maximum of the barrier problem, which lies
-    at most d mu below max log L. If projected linear inversion (on
-    informationally complete settings) has a higher likelihood than the
-    last iterate, it is returned instead.
+    Hessian has a closed form. The barrier's Hessian is weighted by the mu
+    the iterate was centred for, the primal-dual scaling of Helmberg, Rendl,
+    Vanderbei and Wolkowicz (SIAM J. Optim. 6, 342 (1996)), so that the
+    eigenvalues headed for 0 follow a cut of mu in one full step. The path
+    starts at I/d with mu = N/d^2, N the total count. A backtracking line
+    search asks for a quarter of the predicted ascent, computed from log1p of
+    the relative probability changes and of the eigenvalues nu of the step
+    whitened by rho, so that it stays exact at high flux, where |log L| ~
+    1e8, and needs no eigenvalues of its trial states. It keeps rho positive
+    definite with a margin: 1 + t nu_min >= 0.01, the fraction-to-the-boundary
+    rule. mu falls thirtyfold whenever the squared Newton decrement is below
+    mu/2, that is near the maximum of the barrier problem, which lies at most
+    d mu below max log L. If projected linear inversion (on informationally
+    complete settings) has a higher likelihood than the last iterate, it is
+    returned instead.
 
     ``gap`` bounds the shortfall: max log L - log_likelihood <= gap. It is
     the Frank-Wolfe gap lambda_max(G) - Tr(rho G) of the likelihood gradient
@@ -388,11 +410,11 @@ def _mle_batch(recs, max_iter=200):
     """``mle_reconstruct`` on each of many records that share one settings tuple.
 
     Every unfinished record takes its Newton step in the same round, so one
-    batched ``eigh``, ``solve`` and ``eigvalsh`` serve up to _BATCH records,
-    and a record leaves the round when it is certified. All arithmetic is
-    elementwise or one product per record, never a product across records,
-    so each result is bit for bit the same alone, in any subset and in any
-    order.
+    batched ``eigh`` and ``solve`` and two batched ``eigvalsh`` serve up to
+    _BATCH records, and a record leaves the round when it is certified. All
+    arithmetic is elementwise or one product per record, never a product
+    across records, so each result is bit for bit the same alone, in any
+    subset and in any order.
     """
     if not recs:
         return []
@@ -413,8 +435,8 @@ def _mle_batch(recs, max_iter=200):
     n_total = counts.sum(axis=-1)
     rho = np.tile(np.eye(d, dtype=complex) / d, (len(recs), 1, 1))
     q = _probabilities(pf, rho)
-    log_det = np.log(np.linalg.eigvalsh(rho)).sum(axis=-1)
     mu = n_total / (d * d)
+    mu_h = mu.copy()
     gap = np.zeros(len(recs))
     iterations = np.zeros(len(recs), dtype=int)
     live = np.flatnonzero(n_total > 0)
@@ -427,7 +449,7 @@ def _mle_batch(recs, max_iter=200):
             break
         live, c, fl, ql, w = live[keep], c[keep], fl[keep], ql[keep], w[keep]
         iterations[live] = it + 1
-        rl, ml, k = rho[live], mu[live], live.size
+        rl, ml, hl, k = rho[live], mu[live], mu_h[live], live.size
 
         # Newton step of log L + mu log det rho over rho + U (sum_k x_k B_k) U^H,
         # rho = U diag(lam) U^H, in the orthonormal traceless basis B_k:
@@ -436,7 +458,10 @@ def _mle_batch(recs, max_iter=200):
         # gradient Tr(rho^-1 B~_k) is 0 on the pairs and g^T (1/lam) on the
         # diagonal, and its Hessian Tr(rho^-1 B~_k rho^-1 B~_l) is diagonal,
         # 1/(lam_i lam_j) on the pairs, but for the diagonal's block
-        # g^T diag(1/lam^2) g
+        # g^T diag(1/lam^2) g. The gradient takes mu, the Hessian mu_h, the mu
+        # rho was centred for (the last step's): the primal-dual scaling
+        # Z = mu_h rho^-1. After mu falls by _MU_CUT, a full step then takes an
+        # eigenvalue headed for 0 from lam to about lam / _MU_CUT
         lam, u = np.linalg.eigh(rl)
         a = _rotated_map(kets @ u.conj(), iu, ju, g)
         inv_lam = 1.0 / lam
@@ -445,8 +470,8 @@ def _mle_batch(recs, max_iter=200):
         a *= (np.sqrt(c) / ql)[..., None]
         hess = a.mT @ a
         pairs = np.arange(n_off)
-        hess[:, pairs, pairs] += ml[:, None] * np.tile(inv_lam[:, iu] * inv_lam[:, ju], 2)
-        hess[:, n_off:, n_off:] += ml[:, None, None] * (g.T @ (inv_lam[..., None] ** 2 * g))
+        hess[:, pairs, pairs] += hl[:, None] * np.tile(inv_lam[:, iu] * inv_lam[:, ju], 2)
+        hess[:, n_off:, n_off:] += hl[:, None, None] * (g.T @ (inv_lam[..., None] ** 2 * g))
         step = np.linalg.solve(hess, grad[..., None])[..., 0]
         decrement = np.vecdot(grad, step)
         m = np.zeros((k, d, d), dtype=complex)
@@ -456,32 +481,31 @@ def _mle_batch(recs, max_iter=200):
         d_rho = u @ m @ u.conj().mT
         d_rho = 0.5 * (d_rho + d_rho.conj().mT)
         dq = _probabilities(pf, d_rho)
+        nu = _whitened_eigenvalues(lam, m)
 
-        # backtracking: step t = 1, 1/2, ... until rho stays positive
-        # definite and the gain reaches _ARMIJO * t * decrement
+        # backtracking: step t = 1, 1/2, ... until rho keeps a fraction of
+        # its distance to the boundary, 1 + t nu_min >= _BOUNDARY, and the
+        # gain reaches _ARMIJO * t * decrement
         todo = np.arange(k)
         for j in range(_LINE_SEARCH_STEPS):
             t = 0.5**j
-            trial = rl[todo] + t * d_rho[todo]
             r = t * dq[todo] / ql[todo]
-            lam = np.linalg.eigvalsh(trial)
-            ok = (lam[:, 0] > 0) & np.all(r > -1.0, axis=-1)
+            ok = (1.0 + t * nu[todo, 0] >= _BOUNDARY) & np.all(r > -1.0, axis=-1)
             i = todo[ok]
-            ld = np.log(lam[ok]).sum(axis=-1)
             gain = (
                 np.vecdot(c[i], np.log1p(r[ok]))
                 - t * fl[i] * dq[i].sum(axis=-1)
-                + ml[i] * (ld - log_det[live[i]])
+                + ml[i] * np.log1p(t * nu[i]).sum(axis=-1)
             )
             good = gain >= _ARMIJO * t * decrement[i]
-            rho[live[i[good]]] = trial[ok][good]
-            log_det[live[i[good]]] = ld[good]
+            rho[live[i[good]]] = rl[i[good]] + t * d_rho[i[good]]
             ok[ok] = good
             todo = todo[~ok]
             if not todo.size:
                 break
         q[live] = _probabilities(pf, rho[live])
-        mu[live] = np.where(decrement < 0.5 * ml, 0.1 * ml, ml)
+        mu_h[live] = ml
+        mu[live] = np.where(decrement < 0.5 * ml, ml / _MU_CUT, ml)
     converged = gap <= MLE_TOL * n_total
     return [
         _result(rho[n], q[n], gap[n], rec, maps, iterations[n], converged[n])

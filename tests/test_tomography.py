@@ -1,5 +1,7 @@
+import fractions
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from thermalcluster.graphs import Graph, linear_graph
 from thermalcluster.linalg import KETS, validate_density_matrix
 from thermalcluster.thermal import p_from_temperature, thermal_state_model
 from thermalcluster.tomography import (
+    _BOUNDARY,
     MLE_TOL,
     CountRecord,
     _mle_batch,
     _resample,
+    _whitened_eigenvalues,
     expected_probabilities,
     linear_inversion,
     mle_reconstruct,
@@ -326,8 +330,11 @@ def test_mle_certificate_against_diluted_rrho():
 @pytest.mark.filterwarnings("error")
 def test_mle_certified_on_extreme_inputs():
     # 1-3 qubits, both setting families, T/gap from 0 to inf and flux up
-    # to 1e8, where the states are near pure and the counts near 1e8
+    # to 1e8, where the states are near pure and the counts near 1e8. The
+    # scaled barrier path takes at most 27 Newton steps on these cases, the
+    # unscaled one (barrier Hessian weighted by the current mu) took 47
     rows = []
+    steps = []
     for n in (1, 2, 3):
         g = Graph(1) if n == 1 else linear_graph(n)
         for settings in (standard_settings(n), mub_settings(n)):
@@ -339,10 +346,12 @@ def test_mle_certified_on_extreme_inputs():
                         res = mle_reconstruct(rec)
                         rows.append((n, len(settings), t, flux, seed, res.converged,
                                      res.gap <= MLE_TOL * rec.counts.sum()))
+                        steps.append(res.iterations)
     assert len(rows) == 192
     assert (3, 64, 0.2, 1e8, 0, True, True) in rows
     assert (3, 64, 0.2, 1e8, 1, True, True) in rows
     assert [r for r in rows if not (r[5] and r[6])] == []
+    assert max(steps) <= 29
 
 
 def test_mle_batch_needs_one_settings_tuple():
@@ -351,3 +360,69 @@ def test_mle_batch_needs_one_settings_tuple():
     with pytest.raises(ValueError, match="settings"):
         _mle_batch([a, b])
     assert _mle_batch([]) == []
+
+
+def exact_log_det_ratio(lam, m, t):
+    # log det(diag(lam) + t m) - sum log lam without rounding: every float is
+    # a dyadic rational, so one power of 2 turns the matrix into Gaussian
+    # integers, and fraction-free (Bareiss) elimination gives the
+    # determinant. Its leading minors are real, as the matrix is Hermitian
+    f = fractions.Fraction
+    t = f(float(t))
+    entries = [
+        [(t * f(float(z.real)) + (f(float(lam[i])) if i == j else 0), t * f(float(z.imag)))
+         for j, z in enumerate(row)]
+        for i, row in enumerate(m)
+    ]
+    scale = max(x.denominator for row in entries for z in row for x in z)
+    a = [[[int(x * scale) for x in z] for z in row] for row in entries]
+    n, prev = len(a), 1
+    for k in range(n - 1):
+        p = a[k][k][0]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                (ar, ai), (br, bi), (cr, ci) = a[i][j], a[i][k], a[k][j]
+                a[i][j] = [(ar * p - (br * cr - bi * ci)) // prev,
+                           (ai * p - (br * ci + bi * cr)) // prev]
+        prev = p
+    det = f(a[-1][-1][0], scale**n)
+    return math.log(det / math.prod(f(float(x)) for x in lam))
+
+
+def test_whitened_step_gives_log_det_and_positivity():
+    # the line search's identity: with nu the eigenvalues of the step m
+    # whitened by rho's eigenvalues lam, log det(rho + t d_rho) - log det rho
+    # = sum log1p(t nu); the step t = 1, 1/2, ... it accepts, the first with
+    # 1 + t nu_min >= _BOUNDARY, keeps rho + t d_rho positive definite.
+    # Eigenvalues span 1e-9 to 1, where eigvalsh of rho + t d_rho itself is
+    # off by up to ~1e-6 relative in the log det, so the reference is exact
+    rng = np.random.default_rng(7)
+    k, d = 12, 8
+
+    def hermitian():
+        z = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        return 0.5 * (z + z.conj().mT)
+
+    lam = np.sort(10.0 ** rng.uniform(-9.0, 0.0, size=(k, d)), axis=-1)
+    lam[:, 0], lam[:, -1] = 1e-9, 1.0
+    u = np.linalg.qr(hermitian())[0]
+    rho = (u * lam[:, None, :]) @ u.conj().mT
+    rho = 0.5 * (rho + rho.conj().mT)
+    m = hermitian()
+    # as the solver steps: eigenbasis of rho, step built in it
+    lam_r, u_r = np.linalg.eigh(rho)
+    d_rho = u_r @ m @ u_r.conj().mT
+    d_rho = 0.5 * (d_rho + d_rho.conj().mT)
+    nu = _whitened_eigenvalues(lam_r, m)
+    # one record alone gives the bits it gets in the stack
+    assert np.array_equal(_whitened_eigenvalues(lam_r[3], m[3]), nu[3])
+    for n in range(k):
+        j = next(j for j in range(80) if 1.0 + 0.5**j * nu[n, 0] >= _BOUNDARY)
+        for t in (0.5**j, 0.5 ** (j + 3)):
+            got = np.log1p(t * nu[n]).sum()
+            ref = exact_log_det_ratio(lam_r[n], m[n], t)
+            assert abs(got - ref) <= 1e-9 * abs(ref), (n, t, got, ref)
+            lam_new = np.linalg.eigvalsh(rho[n] + t * d_rho[n])
+            assert lam_new[0] > 0.0
+            # rho + t d_rho >= _BOUNDARY rho, up to rounding
+            assert lam_new[0] >= 0.9 * _BOUNDARY * lam_r[n, 0]
