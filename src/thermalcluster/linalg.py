@@ -65,9 +65,9 @@ def tensor_all(factors):
 
 
 def _n_qubits(dim):
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of 2")
+    n = int(dim).bit_length() - 1
+    if n < 0 or 2**n != dim:
+        raise ConfigError(f"dimension {dim} is not a power of 2")
     return n
 
 
@@ -105,7 +105,7 @@ def partial_transpose(rho, subset, n=None):
         n = _n_qubits(rho.shape[-1])
     subset = set(int(q) for q in subset)
     if subset and (max(subset) >= n or min(subset) < 0):
-        raise ValueError(f"qubit index out of range for n={n}: {sorted(subset)}")
+        raise ConfigError(f"qubit index out of range for n={n}: {sorted(subset)}")
     lead = rho.ndim - 2
     t = rho.reshape(rho.shape[:lead] + (2,) * (2 * n))
     perm = list(range(lead + 2 * n))

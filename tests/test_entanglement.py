@@ -14,6 +14,7 @@ from thermalcluster.entanglement import (
     transition_points,
 )
 from thermalcluster.graphs import CHAIN, linear_graph
+from thermalcluster.linalg import ConfigError
 from thermalcluster.thermal import temperature_from_p, thermal_state_model
 
 
@@ -85,6 +86,12 @@ def test_classify_other_sizes_have_no_class():
     assert set(rep.negativities) == {(0,)}
 
 
+def test_classify_rejects_a_dimension_that_is_not_a_power_of_2():
+    # rounding log2(6) gave 3 qubits and numpy's reshape error
+    with pytest.raises(ConfigError, match=r"^dimension 6 is not a power of 2$"):
+        classify(np.eye(6) / 6)
+
+
 def test_end_qubit_symmetry():
     g = linear_graph(3)
     for p in np.linspace(0.0, 1.0, 21):
@@ -126,8 +133,8 @@ def test_transition_points_require_bracketing():
 
 
 def _bisect_decreasing(f):
-    # one curve at a time, 80 halvings: the search transition_points ran
-    # before it bisected both curves in lockstep
+    # one curve at a time, 80 halvings: plain bisection, whose every bit
+    # transition_points keeps
     lo, hi = 0.0, 1.0
     flo, fhi = f(lo), f(hi)
     if flo <= 0 or fhi > 0:
@@ -159,12 +166,14 @@ def _sequential_transition_points(alpha, tol):
 
 
 # at tol 0.1 the two roots lie on either side of p = 1/2, so the two
-# curves run out of representable midpoints in different rounds
-@pytest.mark.parametrize("tol", [0.02, 1e-3, 1e-9, 0.1])
+# curves run out of representable midpoints in different rounds; at tol 0
+# and 0.3 regula falsi mispredicts the most bisection steps
+@pytest.mark.parametrize("tol", [0.0, 0.02, 1e-3, 1e-9, 0.1, 0.3])
 @pytest.mark.parametrize("a", [0.8, 0.84, 0.9, 1.0])
 def test_transition_points_match_sequential_bisection(a, tol):
-    # the lockstep search and its early stop give every field to the bit;
-    # where the reference finds no bracket, it fails the same way
+    # the predicted-path search, its early stop and its per-curve cap give
+    # every field to the bit; where the reference finds no bracket, it
+    # fails the same way
     try:
         ref = _sequential_transition_points(a * np.pi, tol)
     except BracketingError as err:

@@ -3,6 +3,7 @@ import pytest
 
 from thermalcluster.linalg import (
     KETS,
+    ConfigError,
     PositivityError,
     fidelity,
     partial_transpose,
@@ -96,6 +97,13 @@ def test_partial_transpose_separable_stays_positive():
     )
     w = np.linalg.eigvalsh(partial_transpose(rho, [0]))
     assert w[0] > -1e-12
+
+
+def test_partial_transpose_rejects_bad_dimension_and_qubit():
+    with pytest.raises(ConfigError, match=r"^dimension 6 is not a power of 2$"):
+        partial_transpose(np.eye(6) / 6, [0])
+    with pytest.raises(ConfigError, match=r"^qubit index out of range for n=2: \[0, 2\]$"):
+        partial_transpose(bell_state(), [0, 2])
 
 
 def test_trace_norm():

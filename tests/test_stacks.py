@@ -104,8 +104,11 @@ def test_model_sweep_makes_one_call_per_quantity(monkeypatch):
 
 
 def test_transition_points_builds_both_midpoints_in_one_call(monkeypatch):
-    # two bracket checks and at most 80 lockstep rounds; one curve at a
-    # time took 2 * (2 + 80) = 164 calls
+    # one call checks both brackets, then each round builds both curves'
+    # predicted midpoints in one call; lockstep bisection took 55 calls at
+    # both tolerances, one curve at a time 2 * (2 + 80) = 164
     calls = _spy(monkeypatch, entanglement, "thermal_state_model")
-    transition_points(0.84 * np.pi, 0.02)
-    assert 0 < len(calls) <= 82
+    for tol, bound in ((0.02, 16), (1e-9, 24)):
+        calls.clear()
+        transition_points(0.84 * np.pi, tol)
+        assert 0 < len(calls) <= bound, tol
