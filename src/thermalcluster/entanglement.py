@@ -119,6 +119,8 @@ def classify(rho):
     the report carries negativities with klass None.
     """
     rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ConfigError(f"expected a square matrix, got shape {rho.shape}")
     n = _n_qubits(rho.shape[0])
     cuts = all_bipartitions(n)
     negs = {c: negativity(rho, c, n) for c in cuts}

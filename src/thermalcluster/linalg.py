@@ -74,13 +74,14 @@ def _n_qubits(dim):
 def validate_density_matrix(rho):
     """Check Hermiticity, unit trace, and numerical positivity of ``rho``.
 
-    Returns the array unchanged so calls can be chained. Raises ValueError
-    for Hermiticity/trace violations and PositivityError when the minimum
-    eigenvalue falls below -EIG_CLAMP.
+    Returns the array unchanged so calls can be chained. Raises ConfigError
+    for a shape that is not square, ValueError for Hermiticity/trace
+    violations and PositivityError when the minimum eigenvalue falls below
+    -EIG_CLAMP.
     """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
+        raise ConfigError(f"expected a square matrix, got shape {rho.shape}")
     herm = np.abs(rho - rho.conj().T).max()
     if herm > HERMITICITY_ATOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {herm:.3e})")
@@ -163,7 +164,7 @@ def fidelity(rho, sigma):
     rho = np.asarray(rho)
     sigma = np.asarray(sigma)
     if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+        raise ConfigError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     sq = _sqrtm_psd(rho)
     w = np.linalg.eigvalsh(sq @ sigma @ sq)
     w = _clamped_eigvals(w)

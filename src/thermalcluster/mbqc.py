@@ -12,13 +12,15 @@ basis determined by the target. Specialized to the six mutually unbiased
 targets this uses the basis pairs (Z,X) -> |0>,|1>, (Z,Y) -> |r>,|l>,
 (Z,Z) -> |+>,|->. Because the single-shot fidelity is quadratic in the
 target projector, averaging over the six MUB targets equals the average
-over Haar-random targets exactly (the two-design property);
-``haar_average_fidelity`` checks this by direct Monte Carlo.
+over Haar-random targets exactly (the two-design property).
+``haar_average_fidelity`` checks this by Monte Carlo as F_Haar = Tr(rho W_n),
+with W_n fixed by (n_samples, seed).
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,15 +76,12 @@ class PreparationRecord:
     fidelity: float
 
 
-def _reduced(rho, ket_bs, ket_bp):
-    """Unnormalized A_p state <bs, bp| rho |bs, bp>, its trace the probability.
-
-    Projects qubit 1 on ``ket_bs`` and qubit 2 on ``ket_bp``. ``ket_bs`` may
-    carry a leading sample axis, which the result then carries too.
-    """
-    t = np.asarray(rho).reshape(2, 2, 2, 2, 2, 2)
-    m = np.einsum("k,ajkbJK,K->ajbJ", ket_bp.conj(), t, ket_bp)
-    return np.einsum("...j,ajbJ,...J->...ab", ket_bs.conj(), m, ket_bs)
+def _checked(rho):
+    # every function here takes one 3-qubit density matrix
+    rho = np.asarray(rho)
+    if rho.shape != (8, 8):
+        raise ConfigError(f"expected an 8x8 density matrix, got shape {rho.shape}")
+    return rho
 
 
 def conditional_state(rho, basis_bp, basis_bs, outcome_bp, outcome_bs):
@@ -93,7 +92,9 @@ def conditional_state(rho, basis_bp, basis_bs, outcome_bp, outcome_bs):
     """
     ket_bp = KETS[_AXIS_LABELS[basis_bp][outcome_bp]]
     ket_bs = KETS[_AXIS_LABELS[basis_bs][outcome_bs]]
-    red = _reduced(rho, ket_bs, ket_bp)
+    t = _checked(rho).reshape(2, 2, 2, 2, 2, 2)
+    m = np.einsum("k,ajkbJK,K->ajbJ", ket_bp.conj(), t, ket_bp)
+    red = np.einsum("j,ajbJ,J->ab", ket_bs.conj(), m, ket_bs)  # <bs, bp| rho |bs, bp>
     prob = float(np.trace(red).real)
     if prob < _ZERO_PROB:
         return prob, np.eye(2, dtype=complex) / 2.0
@@ -148,6 +149,7 @@ def _classify_axis(vec):
 
 def preparation_records(rho, pairs=ENABLED_PAIRS):
     """Full per-outcome breakdown of the preparation against its targets."""
+    rho = _checked(rho)
     targets = target_map()
     records = []
     for bp, bs in pairs:
@@ -176,7 +178,7 @@ def average_preparation_fidelity(rho):
     crosses the classical threshold 2/3 near T/Delta = 1.13 on the ideal
     sweep; it is 1 on the pure cluster and 1/2 on the maximally mixed state.
     """
-    return float(np.vdot(_preparation_operator(), rho).real)
+    return float(np.vdot(_preparation_operator(), _checked(rho)).real)
 
 
 @lru_cache(maxsize=1)
@@ -202,12 +204,25 @@ def haar_average_fidelity(rho, n_samples, seed):
 
     For a Haar-random target psi = a|+> + b|->, B_p is measured in Z and
     B_s in the basis {conj(a)|0> + conj(b)|1>, orthogonal}; each outcome's
-    target is again the p=0 conditional state. By the two-design property
-    this estimates the same quantity as the MUB average, so the two should
-    agree within Monte Carlo error.
+    target v is the pure cluster's conditional ket <bs, bp|psi0>, normalised.
+    Each outcome adds <v, bs, bp| rho |v, bs, bp>, probability times fidelity,
+    so F_Haar = Tr(rho W_n) with W_n = (1/n) sum |v, bs, bp><v, bs, bp|, fixed
+    by (n_samples, seed) and built once per pair. By the two-design property
+    it estimates the MUB average within Monte Carlo error.
     """
+    rho = _checked(rho)
+    for name, v in (("n_samples", n_samples), ("seed", seed)):
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            raise ConfigError(f"{name} must be an integer")
     if n_samples < 1:
         raise ConfigError("need at least one sample")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    return float(np.vdot(_haar_operator(n_samples, seed), rho).real)
+
+
+@lru_cache(maxsize=1)
+def _haar_operator(n_samples, seed):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n_samples, 2)) + 1j * rng.normal(size=(n_samples, 2))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
@@ -216,17 +231,15 @@ def haar_average_fidelity(rho, n_samples, seed):
     bs0 = w.conj()
     bs1 = np.stack([-w[:, 1], w[:, 0]], axis=1)
 
-    psi0 = build_graph_state(CHAIN)
-    rho0 = np.outer(psi0, psi0.conj())
-
-    total = np.zeros(n_samples)
+    psi0 = build_graph_state(CHAIN).reshape(2, 2, 2)
+    op = np.zeros((8, 8), dtype=complex)
     for ket_bs in (bs0, bs1):
         for lab in ("z0", "z1"):
             ket_bp = KETS[lab]
-            red = _reduced(rho, ket_bs, ket_bp)
-            red0 = _reduced(rho0, ket_bs, ket_bp)
-            p0 = np.einsum("saa->s", red0).real
-            vecs = np.linalg.eigh(red0 / p0[:, None, None])[1][:, :, -1]
-            # unnormalized overlap = probability * fidelity
-            total += np.einsum("sa,sab,sb->s", vecs.conj(), red, vecs).real
-    return float(total.mean())
+            v = np.einsum("sj,ajk,k->sa", ket_bs.conj(), psi0, ket_bp.conj())
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            x = np.einsum("sa,sj,k->sajk", v, ket_bs, ket_bp).reshape(n_samples, 8)
+            op += x.T @ x.conj()
+    op /= n_samples
+    op.flags.writeable = False
+    return op

@@ -90,6 +90,11 @@ def test_classify_rejects_a_dimension_that_is_not_a_power_of_2():
     # rounding log2(6) gave 3 qubits and numpy's reshape error
     with pytest.raises(ConfigError, match=r"^dimension 6 is not a power of 2$"):
         classify(np.eye(6) / 6)
+    # the dimension was read from the first axis alone: a non-square matrix
+    # leaked numpy's reshape error, a stack of 8x8 matrices claimed 1 qubit
+    for bad in (np.ones((8, 4)) / 8, np.ones((2, 8, 8)) / 8):
+        with pytest.raises(ConfigError, match=r"^expected a square matrix, got shape"):
+            classify(bad)
 
 
 def test_end_qubit_symmetry():

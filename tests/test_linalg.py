@@ -104,6 +104,11 @@ def test_partial_transpose_rejects_bad_dimension_and_qubit():
         partial_transpose(np.eye(6) / 6, [0])
     with pytest.raises(ConfigError, match=r"^qubit index out of range for n=2: \[0, 2\]$"):
         partial_transpose(bell_state(), [0, 2])
+    # the other shape checks in linalg raise the same type
+    with pytest.raises(ConfigError, match=r"^dimension mismatch: \(2, 2\) vs \(4, 4\)$"):
+        fidelity(np.eye(2) / 2, np.eye(4) / 4)
+    with pytest.raises(ConfigError, match=r"^expected a square matrix, got shape \(2, 4\)$"):
+        validate_density_matrix(np.ones((2, 4)) / 2)
 
 
 def test_trace_norm():

@@ -16,6 +16,7 @@ from thermalcluster.mbqc import (
     haar_average_fidelity,
     preparation_records,
     target_map,
+    _haar_operator,
 )
 from thermalcluster.thermal import p_from_temperature, thermal_state_model
 
@@ -122,6 +123,45 @@ def test_haar_average_matches_mub_average():
         assert abs(haar - mub) < 3e-3, (t, haar, mub)
 
 
+def per_sample_haar_fidelity(rho, n_samples, seed):
+    # the estimator sample by sample, from the same draws: each target is
+    # the top eigenvector of the pure cluster's conditional state, and each
+    # sample adds probability times fidelity of rho's conditional state
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n_samples, 2)) + 1j * rng.normal(size=(n_samples, 2))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    w = raw @ (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)).T
+    bs_kets = (w.conj(), np.stack([-w[:, 1], w[:, 0]], axis=1))
+
+    def reduced(r, ket_bs, ket_bp):
+        t = r.reshape(2, 2, 2, 2, 2, 2)
+        m = np.einsum("k,ajkbJK,K->ajbJ", ket_bp.conj(), t, ket_bp)
+        return np.einsum("sj,ajbJ,sJ->sab", ket_bs.conj(), m, ket_bs)
+
+    total = np.zeros(n_samples)
+    for ket_bs in bs_kets:
+        for lab in ("z0", "z1"):
+            red = reduced(rho, ket_bs, KETS[lab])
+            red0 = reduced(pure_cluster(), ket_bs, KETS[lab])
+            vecs = np.linalg.eigh(red0)[1][:, :, -1]
+            total += np.einsum("sa,sab,sb->s", vecs.conj(), red, vecs).real
+    return total.mean()
+
+
+def test_haar_average_is_the_per_sample_estimator():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    off_model = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    for rho in (model(p_from_temperature(0.3), 0.84 * np.pi),
+                model(p_from_temperature(2.0), 0.84 * np.pi), off_model):
+        ref = per_sample_haar_fidelity(rho, 2000, seed=1)
+        assert abs(haar_average_fidelity(rho, 2000, seed=1) - ref) < 1e-14
+    # the anchors: every sample's target is exact on the pure cluster, and
+    # I/8 gives each sample fidelity 1/2
+    assert abs(haar_average_fidelity(pure_cluster(), 2000, seed=1) - 1.0) < 1e-12
+    assert abs(haar_average_fidelity(np.eye(8) / 8, 2000, seed=1) - 0.5) < 1e-15
+
+
 @pytest.mark.filterwarnings("error")
 def test_haar_average_needs_a_sample():
     with pytest.raises(ValueError, match="sample"):
@@ -131,5 +171,6 @@ def test_haar_average_needs_a_sample():
 def test_haar_average_deterministic():
     rho = model(0.5)
     a = haar_average_fidelity(rho, 2000, seed=1)
+    _haar_operator.cache_clear()  # rebuild W_n from the seed, not the cache
     b = haar_average_fidelity(rho, 2000, seed=1)
     assert a == b

@@ -14,7 +14,12 @@ from thermalcluster.graphs import (
     parse_graph,
     verify_spectrum,
 )
-from thermalcluster.mbqc import haar_average_fidelity
+from thermalcluster.mbqc import (
+    average_preparation_fidelity,
+    conditional_state,
+    haar_average_fidelity,
+    preparation_records,
+)
 from thermalcluster.thermal import (
     gibbs_state,
     p_from_temperature,
@@ -120,6 +125,13 @@ def counts(flux=1e3, seed=0):
     pytest.param(lambda: standard_settings(0), id="standard_settings"),
     pytest.param(lambda: transition_points(np.pi, tol=-1.0), id="transition_tol"),
     pytest.param(lambda: haar_average_fidelity(np.eye(8) / 8, 0, seed=0), id="haar_samples"),
+    pytest.param(lambda: haar_average_fidelity(np.eye(8) / 8, 2.5, seed=0), id="haar_samples_float"),
+    pytest.param(lambda: haar_average_fidelity(np.eye(8) / 8, 10, seed=-1), id="haar_seed"),
+    # the preparation functions take one 3-qubit state, not a 2-qubit one
+    pytest.param(lambda: haar_average_fidelity(np.eye(4) / 4, 10, seed=0), id="haar_shape"),
+    pytest.param(lambda: average_preparation_fidelity(np.eye(4) / 4), id="prep_fidelity_shape"),
+    pytest.param(lambda: preparation_records(np.eye(4) / 4), id="prep_records_shape"),
+    pytest.param(lambda: conditional_state(np.eye(4) / 4, "Z", "X", 0, 0), id="conditional_shape"),
     pytest.param(lambda: monte_carlo_statistic(record()(), np.trace, 1, seed=0), id="mc_samples"),
     pytest.param(tomography_sweep(mc_samples=2.5), id="sweep_mc_samples_float"),
     pytest.param(tomography_sweep(seed=1.5), id="sweep_seed_float"),
