@@ -8,6 +8,8 @@ on throughout.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -50,6 +52,13 @@ TRACE_ATOL = 1e-10
 
 class ConfigError(ValueError):
     """An argument outside its domain; the command line exits 1 on it."""
+
+
+def _check_integer(name, value):
+    # Python counts a bool as an int, but no argument takes one as a count
+    # or a seed
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer")
 
 
 class PositivityError(ValueError):

@@ -20,14 +20,13 @@ with W_n fixed by (n_samples, seed).
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .graphs import CHAIN, build_graph_state
-from .linalg import KETS, ConfigError, tensor_all
+from .linalg import KETS, ConfigError, _check_integer, tensor_all
 
 __all__ = [
     "AXES",
@@ -211,9 +210,8 @@ def haar_average_fidelity(rho, n_samples, seed):
     it estimates the MUB average within Monte Carlo error.
     """
     rho = _checked(rho)
-    for name, v in (("n_samples", n_samples), ("seed", seed)):
-        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-            raise ConfigError(f"{name} must be an integer")
+    _check_integer("n_samples", n_samples)
+    _check_integer("seed", seed)
     if n_samples < 1:
         raise ConfigError("need at least one sample")
     if seed < 0:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .entanglement import DEFAULT_TOL, classify_values, negativity
 from .graphs import CHAIN, format_graph
-from .linalg import ConfigError, fidelity
+from .linalg import ConfigError, _check_integer, fidelity
 from .mbqc import average_preparation_fidelity
 from .thermal import gibbs_state, p_from_temperature, temperature_from_p, thermal_state_model
 from .tomography import _mle_batch, _resample, simulate_counts, standard_settings
@@ -93,9 +93,7 @@ class SweepConfig:
         if not isinstance(self.tomography_enabled, bool):
             raise ConfigError("tomography_enabled must be true or false")
         for name in ("mc_samples", "seed"):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Integral) and _is_real(v)):
-                raise ConfigError(f"{name} must be an integer")
+            _check_integer(name, getattr(self, name))
         for name in ("alpha", "flux"):
             if not _is_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a real number")

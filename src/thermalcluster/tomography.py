@@ -9,6 +9,11 @@ so the MLE is found by Newton's method on a log-det barrier path (Boyd and
 Vandenberghe, Convex Optimization, 2004, ch. 11) and certified by the
 Frank-Wolfe gap, an upper bound on how far the returned log-likelihood lies
 below the maximum (cf. Glancy, Knill and Girard, NJP 14, 095017 (2012)).
+Where the least-squares estimate is already an interior state, the maximum
+usually lies inside the state set too, and the solver starts there with
+plain Newton steps on log L, which converge quadratically (Boyd and
+Vandenberghe, sec. 9.5); a record whose Newton step is cut short goes back
+to the barrier path.
 Error bars come from Monte Carlo resampling of the counts, the standard
 procedure for coincidence data, with every resample reconstructed by
 maximum likelihood.
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import KETS, ConfigError
+from .linalg import KETS, ConfigError, _check_integer
 
 __all__ = [
     "STANDARD_ALPHABET",
@@ -246,6 +251,7 @@ def simulate_counts(rho, settings, flux, seed):
     """Draw one Poisson count per setting with mean flux * Tr(rho * Pi)."""
     if not 0 < flux <= _MAX_FLUX:
         raise ConfigError(f"flux must be positive and at most {_MAX_FLUX:g}")
+    _check_integer("seed", seed)
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     means = np.clip(expected_probabilities(rho, settings), 0.0, None) * flux
@@ -293,36 +299,50 @@ def linear_inversion(rec):
         return ReconstructionResult(rho=np.eye(d, dtype=complex) / d, method="LINEAR")
     if maps.rank < d * d:
         raise ConfigError("settings are not informationally complete (rank-deficient)")
-    return ReconstructionResult(rho=_linear_estimate(maps, rec), method="LINEAR")
+    return ReconstructionResult(
+        rho=_project_to_states(_least_squares(maps, rec.counts, rec.flux)), method="LINEAR"
+    )
 
 
-def _linear_estimate(maps, rec):
+def _least_squares(maps, counts, flux):
+    # the unprojected least-squares estimate of one record or a stack, one
+    # product per record: the solution of flux Tr(rho Pi_s) = c_s made
+    # Hermitian and scaled to trace 1, or I/d where its trace vanishes
     d = maps.d
-    rho = ((rec.counts / rec.flux) @ maps.lin).view(np.complex128).reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        rho = np.eye(d, dtype=complex) / d
-    else:
-        rho = rho / tr
-    return _project_to_states(rho)
+    x = counts / np.asarray(flux)[..., None]
+    rho = (x[..., None, :] @ maps.lin).view(np.complex128).reshape(*x.shape[:-1], d, d)
+    rho = 0.5 * (rho + rho.conj().mT)
+    tr = np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    flat = np.abs(tr) < 1e-12
+    return np.where(flat, np.eye(d) / d, rho / np.where(flat, 1.0, tr))
 
 
-def _fw_gap(pf, d, w, n_total, flux, q):
+_EPS = np.finfo(float).eps
+
+
+def _fw_gap(pf, d, c, flux, q):
     # lambda_max(G) - Tr(rho G) for the likelihood gradient
     # G = sum_s w_s Pi_s, w_s = c_s / q_s - flux, of one record or a stack;
-    # Tr(rho G) = sum_s (c_s / q_s - flux) q_s = N - flux sum_s q_s
+    # Tr(rho G) = sum_s (c_s / q_s - flux) q_s = N - flux sum_s q_s. Added to
+    # it is a bound on the rounding of log L, a sum of S terms
+    # c_s log(flux q_s) - flux q_s with each q_s a product over d*d entries,
+    # so the certificate holds for the computed log L even where the gap
+    # itself falls below one ulp of it
+    n_total = c.sum(axis=-1)
+    mean = flux * q.sum(axis=-1)
+    w = c / q - flux[..., None]
     grad = (w[..., None, :] @ pf).view(np.complex128).reshape(*w.shape[:-1], d, d)
     lam_max = np.linalg.eigvalsh(grad)[..., -1]
-    return np.maximum(0.0, lam_max - (n_total - flux * q.sum(axis=-1)))
+    terms = n_total + mean + np.vecdot(c, np.abs(np.log(flux[..., None] * q)))
+    return np.maximum(0.0, lam_max - (n_total - mean)) + (q.shape[-1] + d * d) * _EPS * terms
 
 
-def _result(rho, q, gap, rec, maps, iterations, converged):
+def _result(rho, q, gap, rec, ls, maps, iterations, converged):
     ll = _log_likelihood(q, rec.counts, rec.flux)
     if maps.rank == maps.d * maps.d and rec.counts.any():
         # projected linear inversion, if the solver ended below it; gap still
         # bounds max log L - ll, as ll only grows
-        lin = _linear_estimate(maps, rec)
+        lin = _project_to_states(ls)
         ll_lin = _log_likelihood(_probabilities(maps.pf, lin), rec.counts, rec.flux)
         if ll < ll_lin:
             rho, ll = lin, ll_lin
@@ -381,7 +401,13 @@ def mle_reconstruct(rec, max_iter=200):
     the iterate was centred for, the primal-dual scaling of Helmberg, Rendl,
     Vanderbei and Wolkowicz (SIAM J. Optim. 6, 342 (1996)), so that the
     eigenvalues headed for 0 follow a cut of mu in one full step. The path
-    starts at I/d with mu = N/d^2, N the total count. A backtracking line
+    starts at I/d with mu = N/d^2, N the total count. A record whose settings
+    are informationally complete, whose counts are all positive and whose
+    unprojected least-squares estimate is positive definite starts at that
+    estimate with mu = 0 instead, taking plain Newton steps on log L; if its
+    line search takes a step shorter than 1, the maximum may lie on the
+    boundary, and it restarts at I/d with mu = N/d^2 (the steps taken count
+    toward ``iterations`` and ``max_iter``). A backtracking line
     search asks for a quarter of the predicted ascent, computed from log1p of
     the relative probability changes and of the eigenvalues nu of the step
     whitened by rho, so that it stays exact at high flux, where |log L| ~
@@ -395,7 +421,8 @@ def mle_reconstruct(rec, max_iter=200):
 
     ``gap`` bounds the shortfall: max log L - log_likelihood <= gap. It is
     the Frank-Wolfe gap lambda_max(G) - Tr(rho G) of the likelihood gradient
-    G at the last iterate, a bound because log L is concave. The solver
+    G at the last iterate, a bound because log L is concave, plus a bound
+    on the rounding error of the computed log L. The solver
     stops with ``converged=True`` at gap <= MLE_TOL * N, with the fixed
     tolerance MLE_TOL = 1e-9 (a log-likelihood tolerance per count, so it
     does not depend on the flux); ``converged`` is False when ``max_iter``
@@ -411,7 +438,12 @@ def _mle_batch(recs, max_iter=200):
 
     Every unfinished record takes its Newton step in the same round, so one
     batched ``eigh`` and ``solve`` and two batched ``eigvalsh`` serve up to
-    _BATCH records, and a record leaves the round when it is certified. All
+    _BATCH records, and a record leaves the round when it is certified. Each
+    record picks its start from its own counts, with one batched ``eigvalsh``
+    of the least-squares estimates: that estimate with mu = 0 where it is an
+    interior state, I/d on the barrier path elsewhere. Records from both
+    starts share the rounds, and an interior record whose full step is
+    refused rejoins the barrier path from I/d in the next round. All
     arithmetic is elementwise or one product per record, never a product
     across records, so each result is bit for bit the same alone, in any
     subset and in any order.
@@ -433,21 +465,32 @@ def _mle_batch(recs, max_iter=200):
     counts = np.array([r.counts for r in recs])
     flux = np.array([r.flux for r in recs])
     n_total = counts.sum(axis=-1)
-    rho = np.tile(np.eye(d, dtype=complex) / d, (len(recs), 1, 1))
+    # the interior start (see mle_reconstruct); q_s > 0 holds for a positive
+    # definite estimate, and is tested too in case rounding breaks it
+    ls = _least_squares(maps, counts, flux)
+    interior = (
+        (maps.rank == d * d)
+        & np.all(counts > 0, axis=-1)
+        & (np.linalg.eigvalsh(ls)[:, 0] > 0.0)
+        & np.all(_probabilities(pf, ls) > 0.0, axis=-1)
+    )
+    mixed = np.eye(d) / d
+    rho = np.where(interior[:, None, None], ls, mixed)
     q = _probabilities(pf, rho)
-    mu = n_total / (d * d)
+    mu_path = n_total / (d * d)
+    mu = np.where(interior, 0.0, mu_path)
     mu_h = mu.copy()
     gap = np.zeros(len(recs))
     iterations = np.zeros(len(recs), dtype=int)
     live = np.flatnonzero(n_total > 0)
     for it in range(max_iter + 1):
         c, fl, ql, nl = counts[live], flux[live], q[live], n_total[live]
-        w = c / ql
-        gap[live] = _fw_gap(pf, d, w - fl[:, None], nl, fl, ql)
+        gap[live] = _fw_gap(pf, d, c, fl, ql)
         keep = gap[live] > MLE_TOL * nl
         if it == max_iter or not keep.any():
             break
-        live, c, fl, ql, w = live[keep], c[keep], fl[keep], ql[keep], w[keep]
+        live, c, fl, ql = live[keep], c[keep], fl[keep], ql[keep]
+        w = c / ql
         iterations[live] = it + 1
         rl, ml, hl, k = rho[live], mu[live], mu_h[live], live.size
 
@@ -482,10 +525,14 @@ def _mle_batch(recs, max_iter=200):
         d_rho = 0.5 * (d_rho + d_rho.conj().mT)
         dq = _probabilities(pf, d_rho)
         nu = _whitened_eigenvalues(lam, m)
+        mu_h[live] = ml
+        mu[live] = np.where(decrement < 0.5 * ml, ml / _MU_CUT, ml)
 
         # backtracking: step t = 1, 1/2, ... until rho keeps a fraction of
         # its distance to the boundary, 1 + t nu_min >= _BOUNDARY, and the
-        # gain reaches _ARMIJO * t * decrement
+        # gain reaches _ARMIJO * t * decrement. A record from the interior
+        # start that does not take t = 1 goes back to the barrier path: its
+        # maximum may lie on the boundary, where plain Newton slows down
         todo = np.arange(k)
         for j in range(_LINE_SEARCH_STEPS):
             t = 0.5**j
@@ -501,14 +548,17 @@ def _mle_batch(recs, max_iter=200):
             rho[live[i[good]]] = rl[i[good]] + t * d_rho[i[good]]
             ok[ok] = good
             todo = todo[~ok]
+            if j == 0:
+                inner = interior[live[todo]]
+                back, todo = live[todo[inner]], todo[~inner]
+                rho[back], interior[back] = mixed, False
+                mu[back] = mu_h[back] = mu_path[back]
             if not todo.size:
                 break
         q[live] = _probabilities(pf, rho[live])
-        mu_h[live] = ml
-        mu[live] = np.where(decrement < 0.5 * ml, ml / _MU_CUT, ml)
     converged = gap <= MLE_TOL * n_total
     return [
-        _result(rho[n], q[n], gap[n], rec, maps, iterations[n], converged[n])
+        _result(rho[n], q[n], gap[n], rec, ls[n], maps, iterations[n], converged[n])
         for n, rec in enumerate(recs)
     ]
 
@@ -529,8 +579,12 @@ def monte_carlo_statistic(rec, statistic, n_samples, seed):
     the generator seeded with seed + k, and all samples are solved in one
     ``_mle_batch``, in which no state depends on the others.
     """
+    _check_integer("n_samples", n_samples)
+    _check_integer("seed", seed)
     if n_samples < 2:
         raise ConfigError("need at least 2 samples for a standard deviation")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     samples = [_resample(rec, seed + k) for k in range(n_samples)]
     try:
         results = _mle_batch(samples)

@@ -109,6 +109,9 @@ def counts(flux=1e3, seed=0):
     pytest.param(counts(flux=0.0), id="simulate_flux_zero"),
     pytest.param(counts(flux=1e300), id="simulate_flux_beyond_sampler"),
     pytest.param(counts(seed=-1), id="simulate_seed"),
+    pytest.param(counts(seed=None), id="simulate_seed_none"),
+    pytest.param(counts(seed=1.5), id="simulate_seed_float"),
+    pytest.param(counts(seed=True), id="simulate_seed_bool"),
     pytest.param(record(counts=np.ones(3)), id="record_shape"),
     pytest.param(record(flux=float("inf")), id="record_flux"),
     pytest.param(lambda: CountRecord.from_text("z0,3\n"), id="from_text"),
@@ -133,6 +136,10 @@ def counts(flux=1e3, seed=0):
     pytest.param(lambda: preparation_records(np.eye(4) / 4), id="prep_records_shape"),
     pytest.param(lambda: conditional_state(np.eye(4) / 4, "Z", "X", 0, 0), id="conditional_shape"),
     pytest.param(lambda: monte_carlo_statistic(record()(), np.trace, 1, seed=0), id="mc_samples"),
+    pytest.param(lambda: monte_carlo_statistic(record()(), np.trace, 2.5, seed=0), id="mc_samples_float"),
+    pytest.param(lambda: monte_carlo_statistic(record()(), np.trace, 2, seed=None), id="mc_seed_none"),
+    pytest.param(lambda: monte_carlo_statistic(record()(), np.trace, 2, seed=1.5), id="mc_seed_float"),
+    pytest.param(lambda: monte_carlo_statistic(record()(), np.trace, 2, seed=-1), id="mc_seed_negative"),
     pytest.param(tomography_sweep(mc_samples=2.5), id="sweep_mc_samples_float"),
     pytest.param(tomography_sweep(seed=1.5), id="sweep_seed_float"),
     pytest.param(tomography_sweep(tomography_enabled="no"), id="sweep_flag_string"),
