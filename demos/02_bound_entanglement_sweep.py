@@ -24,9 +24,9 @@ print(f"phase-gate angle alpha = 0.84 pi\n")
 print("  T/Delta    N_Ap      N_Bs      N_Bp     class")
 for t in np.arange(0.2, 3.01, 0.2):
     rho = thermal_state_model(g, p_from_temperature(t), ALPHA)
-    n_ap = negativity(rho, (0,), 3)
-    n_bs = negativity(rho, (1,), 3)
-    n_bp = negativity(rho, (2,), 3)
+    n_ap = negativity(rho, (0,))
+    n_bs = negativity(rho, (1,))
+    n_bp = negativity(rho, (2,))
     klass = classify(rho).klass
     print(f"  {t:5.2f}    {n_ap:.4f}    {n_bs:.4f}    {n_bp:.4f}    {klass}")
 

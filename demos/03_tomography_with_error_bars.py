@@ -43,9 +43,9 @@ print(f"fidelity of the reconstruction with the generating state: "
 # spread of the statistic.
 print("\nnegativities with Monte Carlo error bars (40 resamples):")
 for label, cut in (("A_p", (0,)), ("B_s", (1,)), ("B_p", (2,))):
-    true_val = negativity(rho, cut, 3)
+    true_val = negativity(rho, cut)
     mean, std = monte_carlo_statistic(
-        rec, lambda r: negativity(r, cut, 3), 40, seed=11
+        rec, lambda r: negativity(r, cut), 40, seed=11
     )
     print(f"  N_{label}: model {true_val:.4f}   reconstructed {mean:.4f} +- {std:.4f}")
 

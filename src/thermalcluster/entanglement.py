@@ -1,4 +1,4 @@
-"""Negativities, bipartition bookkeeping, and entanglement-regime classification.
+"""Negativities across the single-qubit cuts, and entanglement-regime classification.
 
 The three-qubit chain passes through three regimes as temperature rises:
 free entanglement (every cut NPT), bound entanglement (only the middle-qubit
@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CHAIN
-from .linalg import (
-    ConfigError,
-    _float_or_stack,
-    _n_qubits,
-    partial_transpose,
-    trace_norm,
-)
+from .linalg import ConfigError, _chain_state, _float_or_stack, partial_transpose
 from .thermal import temperature_from_p, thermal_state_model
 
 __all__ = [
@@ -30,7 +24,6 @@ __all__ = [
     "EntanglementReport",
     "TransitionPoints",
     "negativity",
-    "all_bipartitions",
     "classify",
     "classify_values",
     "transition_points",
@@ -44,6 +37,9 @@ DEFAULT_TOL = 1e-9
 _PATH_LEN = 6
 _MAX_HALVINGS = 80
 
+# the three single-qubit cuts of the chain, the only distinct bipartitions
+_CUTS = ((0,), (1,), (2,))
+
 PPT_ALL = "PPT_ALL"
 BOUND = "BOUND"
 FREE = "FREE"
@@ -53,47 +49,28 @@ class BracketingError(RuntimeError):
     """The swept quantity never crosses the threshold, so no root exists."""
 
 
-def negativity(rho, side_a, n=None):
+def negativity(rho, side_a):
     """N = (trace norm of the partial transpose - 1) / 2.
 
     Equals the absolute sum of the negative eigenvalues of rho^(T_A): zero
     exactly for PPT states, and 1/2 for a two-qubit maximally entangled
-    state. Tiny negative results from roundoff are clamped to 0. A stack
-    (..., d, d) gives an array of negativities from one batched eigvalsh.
+    state. Tiny negative results from roundoff are clamped to 0. ``rho`` is
+    taken to be Hermitian: the eigenvalues come from eigvalsh, which reads
+    one triangle of the partial transpose. A stack (..., d, d) gives an
+    array of negativities from one batched eigvalsh.
     """
-    return _negativity_of_pt(partial_transpose(rho, side_a, n))
+    return _negativity_of_pt(partial_transpose(rho, side_a))
 
 
 def _negativity_of_pt(pt):
-    x = 0.5 * (trace_norm(pt) - 1.0)
+    x = 0.5 * (np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1) - 1.0)
     return _float_or_stack(np.where(x > 0.0, x, 0.0))
-
-
-def all_bipartitions(n):
-    """All 2^(n-1) - 1 distinct splits, each as the canonical side_a tuple.
-
-    The canonical representative is the smaller side, ties broken
-    lexicographically; for n=3 that is exactly the three single-qubit cuts
-    (0,), (1,), (2,).
-    """
-    if n < 2:
-        raise ConfigError("bipartitions need at least 2 qubits")
-    seen = set()
-    out = []
-    for mask in range(1, 2**n - 1):
-        side = tuple(q for q in range(n) if (mask >> q) & 1)
-        other = tuple(q for q in range(n) if q not in side)
-        canon = min(side, other, key=lambda s: (len(s), s))
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    return sorted(out, key=lambda s: (len(s), s))
 
 
 @dataclass(frozen=True)
 class EntanglementReport:
     negativities: dict  # side_a tuple -> negativity
-    klass: str | None  # PPT_ALL / BOUND / FREE; None when n != 3
+    klass: str  # PPT_ALL / BOUND / FREE
 
 
 def classify_values(negs, tols):
@@ -111,23 +88,17 @@ def classify_values(negs, tols):
 
 
 def classify(rho):
-    """Negativities across every bipartition plus the regime label at DEFAULT_TOL.
+    """Negativities of one 3-qubit state across its cuts (0,), (1,), (2,),
+    plus the regime label at DEFAULT_TOL.
 
     The PPT_ALL label is a separability candidate only: a positive partial
-    transpose across every cut does not prove the state separable. The
-    named-class semantics follow the three-qubit analysis; for other sizes
-    the report carries negativities with klass None.
+    transpose across every cut does not prove the state separable.
     """
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ConfigError(f"expected a square matrix, got shape {rho.shape}")
-    n = _n_qubits(rho.shape[0])
-    cuts = all_bipartitions(n)
-    negs = {c: negativity(rho, c, n) for c in cuts}
-    klass = None
-    if n == 3:
-        klass = classify_values([negs[c] for c in cuts], [DEFAULT_TOL] * len(cuts))
-    return EntanglementReport(negativities=negs, klass=klass)
+    rho = _chain_state(rho)
+    negs = {c: negativity(rho, c) for c in _CUTS}
+    return EntanglementReport(
+        negativities=negs, klass=classify_values(list(negs.values()), [DEFAULT_TOL] * 3)
+    )
 
 
 @dataclass(frozen=True)
@@ -171,9 +142,9 @@ def transition_points(alpha, tol=DEFAULT_TOL):
         rho = thermal_state_model(CHAIN, np.array(p_end + p_mid, dtype=float), alpha)
         n = len(p_end)
         negs = _negativity_of_pt(np.concatenate([
-            partial_transpose(rho[:n], (0,), 3),
-            partial_transpose(rho[:n], (2,), 3),
-            partial_transpose(rho[n:], (1,), 3),
+            partial_transpose(rho[:n], (0,)),
+            partial_transpose(rho[:n], (2,)),
+            partial_transpose(rho[n:], (1,)),
         ]))
         return [
             (np.minimum(negs[:n], negs[n:2 * n]) - tol).tolist(),

@@ -23,7 +23,6 @@ __all__ = [
     "tensor_all",
     "validate_density_matrix",
     "partial_transpose",
-    "trace_norm",
     "fidelity",
 ]
 
@@ -59,6 +58,20 @@ def _check_integer(name, value):
     # or a seed
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer")
+
+
+def _check_seed(seed):
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+
+
+def _chain_state(rho):
+    # one 3-qubit density matrix, the input of every chain-state function
+    rho = np.asarray(rho)
+    if rho.shape != (8, 8):
+        raise ConfigError(f"expected an 8x8 density matrix, got shape {rho.shape}")
+    return rho
 
 
 class PositivityError(ValueError):
@@ -103,16 +116,15 @@ def validate_density_matrix(rho):
     return rho
 
 
-def partial_transpose(rho, subset, n=None):
+def partial_transpose(rho, subset):
     """Transpose the tensor factors of ``subset`` in place.
 
-    ``rho`` is one matrix or a stack (..., d, d), each matrix transposed on
-    its own. The result is Hermitian with unit trace but need not be
+    ``rho`` is one matrix or a stack (..., d, d) with d = 2^n, each matrix
+    transposed on its own. The result is Hermitian with unit trace but need not be
     positive; its negative eigenvalues witness entanglement across the cut.
     """
     rho = np.asarray(rho)
-    if n is None:
-        n = _n_qubits(rho.shape[-1])
+    n = _n_qubits(rho.shape[-1])
     subset = set(int(q) for q in subset)
     if subset and (max(subset) >= n or min(subset) < 0):
         raise ConfigError(f"qubit index out of range for n={n}: {sorted(subset)}")
@@ -142,22 +154,6 @@ def _sqrtm_psd(m):
     w, v = np.linalg.eigh(m)
     w = _clamped_eigvals(w)
     return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def trace_norm(m):
-    """Sum of singular values. For Hermitian input, sum of |eigenvalues|.
-
-    ``m`` is one matrix or a stack (..., d, d); a stack gives an array of
-    norms from one batched eigvalsh (plus one batched svd for the matrices
-    that are not Hermitian).
-    """
-    m = np.asarray(m)
-    herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= HERMITICITY_ATOL
-    out = np.empty(herm.shape)
-    out[herm] = np.abs(np.linalg.eigvalsh(m[herm])).sum(axis=-1)
-    if not herm.all():
-        out[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)
-    return _float_or_stack(out)
 
 
 def fidelity(rho, sigma):

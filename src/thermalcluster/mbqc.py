@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import CHAIN, build_graph_state
-from .linalg import KETS, ConfigError, _check_integer, tensor_all
+from .linalg import KETS, ConfigError, _chain_state, _check_integer, _check_seed, tensor_all
 
 __all__ = [
     "AXES",
@@ -75,14 +75,6 @@ class PreparationRecord:
     fidelity: float
 
 
-def _checked(rho):
-    # every function here takes one 3-qubit density matrix
-    rho = np.asarray(rho)
-    if rho.shape != (8, 8):
-        raise ConfigError(f"expected an 8x8 density matrix, got shape {rho.shape}")
-    return rho
-
-
 def conditional_state(rho, basis_bp, basis_bs, outcome_bp, outcome_bs):
     """Probability and conditional A_p state after measuring B_p and B_s.
 
@@ -91,7 +83,7 @@ def conditional_state(rho, basis_bp, basis_bs, outcome_bp, outcome_bs):
     """
     ket_bp = KETS[_AXIS_LABELS[basis_bp][outcome_bp]]
     ket_bs = KETS[_AXIS_LABELS[basis_bs][outcome_bs]]
-    t = _checked(rho).reshape(2, 2, 2, 2, 2, 2)
+    t = _chain_state(rho).reshape(2, 2, 2, 2, 2, 2)
     m = np.einsum("k,ajkbJK,K->ajbJ", ket_bp.conj(), t, ket_bp)
     red = np.einsum("j,ajbJ,J->ab", ket_bs.conj(), m, ket_bs)  # <bs, bp| rho |bs, bp>
     prob = float(np.trace(red).real)
@@ -148,7 +140,7 @@ def _classify_axis(vec):
 
 def preparation_records(rho, pairs=ENABLED_PAIRS):
     """Full per-outcome breakdown of the preparation against its targets."""
-    rho = _checked(rho)
+    rho = _chain_state(rho)
     targets = target_map()
     records = []
     for bp, bs in pairs:
@@ -177,7 +169,7 @@ def average_preparation_fidelity(rho):
     crosses the classical threshold 2/3 near T/Delta = 1.13 on the ideal
     sweep; it is 1 on the pure cluster and 1/2 on the maximally mixed state.
     """
-    return float(np.vdot(_preparation_operator(), _checked(rho)).real)
+    return float(np.vdot(_preparation_operator(), _chain_state(rho)).real)
 
 
 @lru_cache(maxsize=1)
@@ -209,13 +201,11 @@ def haar_average_fidelity(rho, n_samples, seed):
     by (n_samples, seed) and built once per pair. By the two-design property
     it estimates the MUB average within Monte Carlo error.
     """
-    rho = _checked(rho)
+    rho = _chain_state(rho)
     _check_integer("n_samples", n_samples)
-    _check_integer("seed", seed)
     if n_samples < 1:
         raise ConfigError("need at least one sample")
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    _check_seed(seed)
     return float(np.vdot(_haar_operator(n_samples, seed), rho).real)
 
 

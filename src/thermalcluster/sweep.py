@@ -87,8 +87,8 @@ class SweepConfig:
     def validate(self):
         """Check the type of every field but ``workers``, then the grids; returns self.
 
-        The angle, flux and seed are checked by the functions that take
-        them, before any solve.
+        The angle, flux, seed and grid values are checked by the functions
+        that take them, before any state is built.
         """
         if not isinstance(self.tomography_enabled, bool):
             raise ConfigError("tomography_enabled must be true or false")
@@ -103,18 +103,9 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be a list or tuple of real numbers")
         if (self.p_grid is None) == (self.t_grid is None):
             raise ConfigError("provide exactly one of p_grid / t_grid")
-        if self.p_grid is not None:
-            bad = [p for p in self.p_grid if not 0.0 <= p <= 1.0]
-            if bad:
-                raise ConfigError(f"p_grid values outside [0, 1]: {bad}")
-            if not self.p_grid:
-                raise ConfigError("p_grid is empty")
-        if self.t_grid is not None:
-            bad = [t for t in self.t_grid if not t >= 0.0]
-            if bad:
-                raise ConfigError(f"t_grid values must be nonnegative: {bad}")
-            if not self.t_grid:
-                raise ConfigError("t_grid is empty")
+        name = "p_grid" if self.p_grid is not None else "t_grid"
+        if not getattr(self, name):
+            raise ConfigError(f"{name} is empty")
         if self.tomography_enabled:
             if self.mc_samples < 2:
                 raise ConfigError("mc_samples must be >= 2 when tomography is enabled")
@@ -171,7 +162,7 @@ def _measure(rhos):
     # the negativities of each state of a C-contiguous stack, one column per
     # cut in _CUTS order, and its preparation fidelity, taken row by row: the
     # vdot of a contiguous row gives the bits of the single call
-    negs = np.stack([negativity(rhos, c, 3) for c in _CUTS], axis=-1)
+    negs = np.stack([negativity(rhos, c) for c in _CUTS], axis=-1)
     return negs, np.array([average_preparation_fidelity(rho) for rho in rhos])
 
 

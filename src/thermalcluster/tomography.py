@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import KETS, ConfigError, _check_integer
+from .linalg import KETS, ConfigError, _check_integer, _check_seed
 
 __all__ = [
     "STANDARD_ALPHABET",
@@ -251,9 +251,7 @@ def simulate_counts(rho, settings, flux, seed):
     """Draw one Poisson count per setting with mean flux * Tr(rho * Pi)."""
     if not 0 < flux <= _MAX_FLUX:
         raise ConfigError(f"flux must be positive and at most {_MAX_FLUX:g}")
-    _check_integer("seed", seed)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    _check_seed(seed)
     means = np.clip(expected_probabilities(rho, settings), 0.0, None) * flux
     rng = np.random.default_rng(seed)
     counts = rng.poisson(means).astype(float)
@@ -580,11 +578,9 @@ def monte_carlo_statistic(rec, statistic, n_samples, seed):
     ``_mle_batch``, in which no state depends on the others.
     """
     _check_integer("n_samples", n_samples)
-    _check_integer("seed", seed)
     if n_samples < 2:
         raise ConfigError("need at least 2 samples for a standard deviation")
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    _check_seed(seed)
     samples = [_resample(rec, seed + k) for k in range(n_samples)]
     try:
         results = _mle_batch(samples)

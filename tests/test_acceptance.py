@@ -81,8 +81,8 @@ def test_criterion_3_regime_ordering_ideal():
     g = linear_graph(3)
     sym_worst = max(
         abs(
-            negativity(thermal_state_model(g, p, np.pi), (0,), 3)
-            - negativity(thermal_state_model(g, p, np.pi), (2,), 3)
+            negativity(thermal_state_model(g, p, np.pi), (0,))
+            - negativity(thermal_state_model(g, p, np.pi), (2,))
         )
         for p in np.linspace(0.0, 1.0, 21)
     )
@@ -102,7 +102,7 @@ def test_criterion_4_bound_window_location():
     windows_ok = 1.4 <= t_end <= 1.6 and 1.8 <= t_mid <= 2.1
     pins_ok = abs(t_end - 1.403119952246) < 1e-6 and abs(t_mid - 2.099797195981) < 1e-6
     rho_18 = thermal_state_model(linear_graph(3), p_from_temperature(1.8), ALPHA_EXP)
-    n_mid_18 = negativity(rho_18, (1,), 3)
+    n_mid_18 = negativity(rho_18, (1,))
     value_ok = 0.01 <= n_mid_18 <= 0.07
     report(
         4, "bound window location (alpha = 0.84 pi)",
@@ -165,7 +165,7 @@ def test_criterion_7_monte_carlo_error_bars():
     g = linear_graph(3)
     rho = thermal_state_model(g, p_from_temperature(1.0), ALPHA_EXP)
     settings = standard_settings(3)
-    stat = lambda r: negativity(r, (1,), 3)
+    stat = lambda r: negativity(r, (1,))
 
     # error-bar size at the count scales the detectors actually deliver
     stds = {}
@@ -218,7 +218,7 @@ def test_criterion_9_determinism():
         == simulate_counts(rho, settings, 1e3, seed=9).to_text()
     )
     rec = simulate_counts(rho, settings, 2e3, seed=9)
-    stat = lambda r: negativity(r, (1,), 3)
+    stat = lambda r: negativity(r, (1,))
     mc_same = (
         monte_carlo_statistic(rec, stat, 5, seed=4)
         == monte_carlo_statistic(rec, stat, 5, seed=4)

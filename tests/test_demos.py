@@ -1,4 +1,4 @@
-"""The demos run as scripts, not only import: demos 02, 03 and 04 end to end."""
+"""The demos run as scripts, not only import: demos 01–04 end to end."""
 
 import os
 import pathlib
@@ -17,6 +17,25 @@ def run_demo(name):
     )
     assert run.returncode == 0, run.stderr
     return run
+
+
+def test_spectrum_demo_prints_the_levels():
+    # the Gibbs-vs-channel differences are roundoff: bounded, not pinned
+    run = run_demo("01_spectrum_and_thermal_states.py")
+    for line in (
+        "  E = -1.5   multiplicity 1\n",
+        "  E = -0.5   multiplicity 3\n",
+        "  E = +0.5   multiplicity 3\n",
+        "  E = +1.5   multiplicity 1\n",
+    ):
+        assert line in run.stdout
+    assert "ground state unique: True," in run.stdout
+    diffs = [
+        float(line.rsplit("=", 1)[1])
+        for line in run.stdout.splitlines()
+        if "max difference" in line
+    ]
+    assert len(diffs) == 4 and max(diffs) < 1e-12
 
 
 def test_bound_entanglement_demo_prints_the_boundaries():

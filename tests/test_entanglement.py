@@ -7,7 +7,6 @@ from thermalcluster.entanglement import (
     PPT_ALL,
     BracketingError,
     TransitionPoints,
-    all_bipartitions,
     classify,
     classify_values,
     negativity,
@@ -41,21 +40,14 @@ def test_negativity_ghz_cut():
     v = np.zeros(8, dtype=complex)
     v[0] = v[7] = 1 / np.sqrt(2)
     rho = np.outer(v, v.conj())
-    for cut in all_bipartitions(3):
-        assert abs(negativity(rho, cut, 3) - 0.5) < 1e-12
+    for cut in ((0,), (1,), (2,)):
+        assert abs(negativity(rho, cut) - 0.5) < 1e-12
 
 
 def test_negativity_side_complement_symmetry():
     # N(A|B) = N(B|A): transposing the complement conjugates the matrix
     rho = thermal_state_model(linear_graph(3), 0.4, 0.84 * np.pi)
-    assert abs(negativity(rho, (0,), 3) - negativity(rho, (1, 2), 3)) < 1e-12
-
-
-def test_all_bipartitions():
-    assert all_bipartitions(3) == [(0,), (1,), (2,)]
-    assert all_bipartitions(4) == [
-        (0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3),
-    ]
+    assert abs(negativity(rho, (0,)) - negativity(rho, (1, 2))) < 1e-12
 
 
 def test_classify_values_patterns():
@@ -79,21 +71,12 @@ def test_classify_model_regimes():
     assert set(rep.negativities) == {(0,), (1,), (2,)}
 
 
-def test_classify_other_sizes_have_no_class():
-    rep = classify(bell_state())
-    assert rep.klass is None
-    # two qubits have a single distinct cut, canonically (0,)
-    assert set(rep.negativities) == {(0,)}
-
-
-def test_classify_rejects_a_dimension_that_is_not_a_power_of_2():
-    # rounding log2(6) gave 3 qubits and numpy's reshape error
-    with pytest.raises(ConfigError, match=r"^dimension 6 is not a power of 2$"):
-        classify(np.eye(6) / 6)
-    # the dimension was read from the first axis alone: a non-square matrix
-    # leaked numpy's reshape error, a stack of 8x8 matrices claimed 1 qubit
-    for bad in (np.ones((8, 4)) / 8, np.ones((2, 8, 8)) / 8):
-        with pytest.raises(ConfigError, match=r"^expected a square matrix, got shape"):
+def test_classify_takes_one_3_qubit_state():
+    # the regimes are those of the 3-qubit chain: a 2-qubit state, a
+    # dimension that is not a power of 2, a non-square matrix and a stack
+    # are all refused
+    for bad in (bell_state(), np.eye(6) / 6, np.ones((8, 4)) / 8, np.ones((2, 8, 8)) / 8):
+        with pytest.raises(ConfigError, match=r"^expected an 8x8 density matrix, got shape"):
             classify(bad)
 
 
@@ -101,7 +84,7 @@ def test_end_qubit_symmetry():
     g = linear_graph(3)
     for p in np.linspace(0.0, 1.0, 21):
         rho = thermal_state_model(g, p, 0.84 * np.pi)
-        assert abs(negativity(rho, (0,), 3) - negativity(rho, (2,), 3)) < 1e-10
+        assert abs(negativity(rho, (0,)) - negativity(rho, (2,))) < 1e-10
 
 
 def test_transition_points_ideal_regression():
@@ -158,10 +141,10 @@ def _bisect_decreasing(f):
 def _sequential_transition_points(alpha, tol):
     def end_neg(p):
         rho = thermal_state_model(CHAIN, p, alpha)
-        return min(negativity(rho, (0,), 3), negativity(rho, (2,), 3))
+        return min(negativity(rho, (0,)), negativity(rho, (2,)))
 
     def mid_neg(p):
-        return negativity(thermal_state_model(CHAIN, p, alpha), (1,), 3)
+        return negativity(thermal_state_model(CHAIN, p, alpha), (1,))
 
     p_end = _bisect_decreasing(lambda p: end_neg(p) - tol)
     p_mid = _bisect_decreasing(lambda p: mid_neg(p) - tol)
@@ -212,5 +195,5 @@ def test_transition_points_reject_nan_and_negative_tol():
 def test_negativity_monotone_on_ideal_curve():
     g = linear_graph(3)
     ps = np.linspace(0.0, 1.0, 21)
-    negs = [negativity(thermal_state_model(g, p, np.pi), (1,), 3) for p in ps]
+    negs = [negativity(thermal_state_model(g, p, np.pi), (1,)) for p in ps]
     assert all(a >= b - 1e-12 for a, b in zip(negs, negs[1:]))

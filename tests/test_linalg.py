@@ -8,7 +8,6 @@ from thermalcluster.linalg import (
     fidelity,
     partial_transpose,
     tensor_all,
-    trace_norm,
     validate_density_matrix,
 )
 
@@ -109,14 +108,6 @@ def test_partial_transpose_rejects_bad_dimension_and_qubit():
         fidelity(np.eye(2) / 2, np.eye(4) / 4)
     with pytest.raises(ConfigError, match=r"^expected a square matrix, got shape \(2, 4\)$"):
         validate_density_matrix(np.ones((2, 4)) / 2)
-
-
-def test_trace_norm():
-    rng = np.random.default_rng(8)
-    rho = random_density(4, rng)
-    assert abs(trace_norm(rho) - 1.0) < 1e-12
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert abs(trace_norm(m) - np.linalg.svd(m, compute_uv=False).sum()) < 1e-10
 
 
 def test_fidelity_pure_state_overlap():

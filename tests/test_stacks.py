@@ -37,8 +37,8 @@ def test_stacked_model_state_negativity_and_fidelity(a):
     singles = [thermal_state_model(CHAIN, p, alpha) for p in P_GRID]
     assert all(_same_bits(s, r) for s, r in zip(stack, singles))
     for cut in ((0,), (1,), (2,)):
-        negs = negativity(stack, cut, 3)
-        assert negs.tolist() == [negativity(r, cut, 3) for r in singles]
+        negs = negativity(stack, cut)
+        assert negs.tolist() == [negativity(r, cut) for r in singles]
     ts = [temperature_from_p(p) for p in P_GRID]
     fids = fidelity(stack, gibbs_state(CHAIN, np.array(ts)))
     assert fids.tolist() == [fidelity(r, gibbs_state(CHAIN, t)) for r, t in zip(singles, ts)]

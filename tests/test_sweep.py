@@ -63,12 +63,10 @@ def test_config_requires_exactly_one_grid():
 
 
 def test_config_field_validation():
-    with pytest.raises(ConfigError, match="p_grid"):
-        SweepConfig(p_grid=(1.5,)).validate()
-    with pytest.raises(ConfigError, match="t_grid"):
-        SweepConfig(t_grid=(-1.0,)).validate()
-    with pytest.raises(ConfigError, match="empty"):
+    with pytest.raises(ConfigError, match="p_grid is empty"):
         SweepConfig(p_grid=()).validate()
+    with pytest.raises(ConfigError, match="t_grid is empty"):
+        SweepConfig(t_grid=[]).validate()
     with pytest.raises(ConfigError, match="mc_samples"):
         SweepConfig(p_grid=(0.5,), tomography_enabled=True, mc_samples=1).validate()
     # seed streams of neighbouring points would overlap; validated, never run
@@ -145,6 +143,10 @@ def counts(flux=1e3, seed=0):
     pytest.param(tomography_sweep(tomography_enabled="no"), id="sweep_flag_string"),
     pytest.param(tomography_sweep(flux="abc"), id="sweep_flux_string"),
     pytest.param(tomography_sweep(p_grid=5), id="sweep_grid_number"),
+    # grid values are refused by the p <-> T maps, before any state is built
+    pytest.param(lambda: run_sweep(SweepConfig(p_grid=(1.5,))), id="sweep_p_grid_range"),
+    pytest.param(lambda: run_sweep(SweepConfig(t_grid=(-1.0,))), id="sweep_t_grid_negative"),
+    pytest.param(lambda: run_sweep(SweepConfig(t_grid=(float("nan"),))), id="sweep_t_grid_nan"),
 ])
 def test_bad_input_raises_config_error(call, monkeypatch):
     # one exception type for bad input, which is also a ValueError; a sweep
@@ -278,6 +280,21 @@ def test_tomography_rows_converge_to_model_rows():
             assert abs(ev - tv) <= 3.0 * er, (flux, tv, ev, er)
         max_dev[flux] = max(abs(ev - tv) for tv, ev in zip(true, est))
     assert max_dev[5e4] < max_dev[5e3]
+
+
+def test_golden_model_sweep_regression():
+    # model rows to the last digit, at the ideal and the experiment's angle
+    grid = tuple(float(t) for t in np.linspace(0.0, 3.0, 31))
+    text = ""
+    for alpha in (np.pi, 0.84 * np.pi):
+        cfg = SweepConfig(t_grid=grid, alpha=float(alpha))
+        provenance = {
+            "config_hash": cfg.config_hash(),
+            "seed": cfg.seed,
+            "tool_version": __version__,
+        }
+        text += emit(run_sweep(cfg), "csv", provenance=provenance)
+    assert text == (DATA / "model_sweep_golden.csv").read_text()
 
 
 def test_golden_sweep_regression():
