@@ -71,11 +71,18 @@ def test_classify_model_regimes():
     assert set(rep.negativities) == {(0,), (1,), (2,)}
 
 
-def test_classify_takes_one_3_qubit_state():
-    # the regimes are those of the 3-qubit chain: a 2-qubit state, a
-    # dimension that is not a power of 2, a non-square matrix and a stack
-    # are all refused
-    for bad in (bell_state(), np.eye(6) / 6, np.ones((8, 4)) / 8, np.ones((2, 8, 8)) / 8):
+def test_classify_other_sizes_have_no_class():
+    # the regimes are those of the 3-qubit chain: a 2-qubit or a 4-qubit
+    # state gets no report and no class
+    for bad in (bell_state(), np.eye(16) / 16):
+        with pytest.raises(ConfigError, match=r"^expected an 8x8 density matrix, got shape"):
+            classify(bad)
+
+
+def test_classify_rejects_a_dimension_that_is_not_a_power_of_2():
+    # a dimension that is not a power of 2, a non-square matrix and a stack
+    # of 8x8 matrices are all refused by the one 8x8 shape check
+    for bad in (np.eye(6) / 6, np.ones((8, 4)) / 8, np.ones((2, 8, 8)) / 8):
         with pytest.raises(ConfigError, match=r"^expected an 8x8 density matrix, got shape"):
             classify(bad)
 
