@@ -67,8 +67,9 @@ def _check_nonnegative(name, value):
 
 
 def _states(rho, d=None, stack=True):
-    # rho as an array and n, for one matrix or a stack (..., d, d) with d = 2^n;
-    # stack=False admits one matrix only, and d one matrix of that size
+    # rho as an array and n, for one matrix or a stack (..., d, d) with d = 2^n
+    # and finite entries; stack=False admits one matrix only, and d one matrix
+    # of that size
     rho = np.asarray(rho)
     shape = rho.shape
     if d is not None and shape != (d, d):
@@ -78,6 +79,8 @@ def _states(rho, d=None, stack=True):
     n = shape[-1].bit_length() - 1
     if 2**n != shape[-1]:
         raise ConfigError(f"dimension {shape[-1]} is not a power of 2")
+    if not np.isfinite(rho).all():
+        raise ConfigError("the state is not finite")
     return rho, n
 
 
@@ -97,7 +100,7 @@ def validate_density_matrix(rho):
     """Check Hermiticity, unit trace, and numerical positivity of ``rho``.
 
     Returns the array unchanged so calls can be chained. Raises ConfigError
-    for anything but one square matrix of size 2^n, ValueError for
+    for anything but one finite square matrix of size 2^n, ValueError for
     Hermiticity/trace violations and PositivityError when the minimum
     eigenvalue falls below -EIG_CLAMP.
     """
@@ -163,10 +166,10 @@ def fidelity(rho, sigma):
     batched eigh and one batched eigvalsh, and PositivityError if any
     matrix fails.
     """
-    rho, sigma = np.asarray(rho), np.asarray(sigma)
+    rho, _ = _states(rho)
+    sigma, _ = _states(sigma)
     if rho.shape != sigma.shape:
         raise ConfigError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    _states(rho)
     sq = _sqrtm_psd(rho)
     w = np.linalg.eigvalsh(sq @ sigma @ sq)
     w = _clamped_eigvals(w)

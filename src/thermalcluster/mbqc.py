@@ -80,7 +80,15 @@ def conditional_state(rho, basis_bp, basis_bs, outcome_bp, outcome_bs):
 
     Outcomes with probability below 1e-12 report the maximally mixed state;
     the vanishing probability itself flags that the branch never occurs.
+    The bases are among AXES and the outcomes 0 or 1, or ConfigError is raised.
     """
+    for basis in (basis_bp, basis_bs):
+        if basis not in AXES:
+            raise ConfigError(f"basis must be one of {AXES}, got {basis!r}")
+    for outcome in (outcome_bp, outcome_bs):
+        _check_integer("outcome", outcome)
+        if outcome not in (0, 1):
+            raise ConfigError(f"outcome must be 0 or 1, got {outcome!r}")
     ket_bp = KETS[_AXIS_LABELS[basis_bp][outcome_bp]]
     ket_bs = KETS[_AXIS_LABELS[basis_bs][outcome_bs]]
     t = _states(rho, d=8)[0].reshape(2, 2, 2, 2, 2, 2)
@@ -139,8 +147,16 @@ def _classify_axis(vec):
 
 
 def preparation_records(rho, pairs=ENABLED_PAIRS):
-    """Full per-outcome breakdown of the preparation against its targets."""
+    """Full per-outcome breakdown of the preparation against its targets.
+
+    ``pairs`` are basis pairs among ENABLED_PAIRS, the pairs with a target
+    for every outcome, or ConfigError is raised.
+    """
     rho, _ = _states(rho, d=8)
+    pairs = [tuple(pair) for pair in pairs]
+    for pair in pairs:
+        if pair not in ENABLED_PAIRS:
+            raise ConfigError(f"basis pair {pair!r} is not among {ENABLED_PAIRS}")
     targets = target_map()
     records = []
     for bp, bs in pairs:

@@ -9,11 +9,17 @@ so the MLE is found by Newton's method on a log-det barrier path (Boyd and
 Vandenberghe, Convex Optimization, 2004, ch. 11) and certified by the
 Frank-Wolfe gap, an upper bound on how far the returned log-likelihood lies
 below the maximum (cf. Glancy, Knill and Girard, NJP 14, 095017 (2012)).
-Where the least-squares estimate is already an interior state, the maximum
-usually lies inside the state set too, and the solver starts there with
-plain Newton steps on log L, which converge quadratically (Boyd and
-Vandenberghe, sec. 9.5); a record whose Newton step is cut short goes back
-to the barrier path.
+On the standard settings the map from rho to the probabilities q is square
+and invertible, and the settings in {z0, z1}^n sum to I, so tr rho is the
+sum of their q. The maximum of log L over unit-trace Hermitian matrices is
+then closed-form: q_s = c_s / N_Z on those settings (N_Z their total count)
+and c_s / flux elsewhere. Where it is positive definite and every count is
+positive it is the MLE, and the gap certifies it with 0 Newton steps. On
+other informationally complete settings, where the least-squares estimate
+is an interior state, the maximum usually lies inside the state set too,
+and the solver starts there with plain Newton steps on log L, which
+converge quadratically (Boyd and Vandenberghe, sec. 9.5); a record whose
+Newton step is cut short goes back to the barrier path.
 Error bars come from Monte Carlo resampling of the counts, the standard
 procedure for coincidence data, with every resample reconstructed by
 maximum likelihood.
@@ -25,11 +31,13 @@ gradient of the likelihood is sum_s w_s Pi_s = (w P) reshaped.
 
 The solver works on a stack of records that share one settings tuple (a
 sweep's records and their Monte Carlo resamples); one record is a stack of
-one. Every unfinished record takes a Newton step in each round, with one
-batched ``eigh`` and ``solve`` and two batched ``eigvalsh`` (the
-certificate's and the line search's) for the whole stack. Every product is
-taken per record, never across records, so a record's result is the same
-bit for bit alone or in any batch.
+one. The stack is cut into chunks, the records with an interior start
+first, so that those certified at their start do not wait on the barrier
+path's rounds. Every unfinished record of a chunk takes a Newton step in
+each round, with one batched ``eigh`` and ``solve`` and two batched
+``eigvalsh`` (the certificate's and the line search's) for the whole
+chunk. Every product is taken per record, never across records, so a
+record's result is the same bit for bit alone or in any batch.
 
 All randomness flows from explicit integer seeds; nothing reads ambient
 entropy, so every pipeline built on this module is reproducible bit for bit.
@@ -97,6 +105,10 @@ class _LinearMaps:
     # Tr(rho Pi_s) = b_s. kets: (S, d), row s the ket v_s of Pi_s = v_s v_s^H.
     # diag: (d, d - 1), columns the diagonals of the orthonormal traceless
     # diagonal generators (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)).
+    # zset: the trace functional, tr rho = sum_s l_s q_s with l_s the real
+    # trace of row s of lin as a d x d matrix, as the (S,) mask l_s = 1,
+    # where S = rank = d*d and every l_s is 0 or 1 (the standard settings:
+    # the 2^n settings in {z0, z1}^n, which sum to I); None elsewhere.
     # All arrays are read-only: every caller shares them.
     d: int
     rank: int
@@ -104,6 +116,7 @@ class _LinearMaps:
     lin: np.ndarray
     kets: np.ndarray
     diag: np.ndarray
+    zset: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=8)
@@ -122,15 +135,19 @@ def _cached_maps(settings):
     s, d = pi.shape[0], pi.shape[1]
     p = pi.reshape(s, d * d)
     lin = np.ascontiguousarray(np.linalg.pinv(p.conj()).T)
+    rank = int(np.linalg.matrix_rank(p))
+    ell = np.trace(lin.reshape(s, d, d), axis1=1, axis2=2).real
+    zset = ell > 0.5
+    zset.flags.writeable = False
+    if not (s == rank == d * d and np.all(np.abs(ell - zset) < 1e-9)):
+        zset = None
     pf, lin = p.view(np.float64), lin.view(np.float64)
     kets = np.array([_setting_ket(st) for st in settings])
     k = np.arange(1, d)
     diag = (np.triu(np.ones((d, d - 1))) - np.eye(d, d - 1, -1) * k) / np.sqrt(k * (k + 1))
     for arr in (pf, lin, kets, diag):
         arr.flags.writeable = False
-    return _LinearMaps(
-        d=d, rank=int(np.linalg.matrix_rank(p)), pf=pf, lin=lin, kets=kets, diag=diag
-    )
+    return _LinearMaps(d=d, rank=rank, pf=pf, lin=lin, kets=kets, diag=diag, zset=zset)
 
 
 def _linear_maps(settings):
@@ -264,8 +281,6 @@ def simulate_counts(rho, settings, flux, seed):
     if not 0 < flux <= _MAX_FLUX:
         raise ConfigError(f"flux must be positive and at most {_MAX_FLUX:g}")
     _check_nonnegative("seed", seed)
-    if not np.isfinite(rho).all():
-        raise ConfigError("the state is not finite")
     means = np.clip(expected_probabilities(rho, settings), 0.0, None) * flux
     rng = np.random.default_rng(seed)
     counts = rng.poisson(means).astype(float)
@@ -316,14 +331,20 @@ def linear_inversion(rec):
     )
 
 
-def _least_squares(maps, counts, flux):
-    # the unprojected least-squares estimate of one record or a stack, one
-    # product per record: the solution of flux Tr(rho Pi_s) = c_s made
-    # Hermitian and scaled to trace 1, or I/d where its trace vanishes
+def _inverse(maps, x):
+    # the Hermitian part of the least-squares solution of Tr(rho Pi_s) = x_s,
+    # of one record or a stack, one product per record
     d = maps.d
-    x = counts / np.asarray(flux)[..., None]
     rho = (x[..., None, :] @ maps.lin).view(np.complex128).reshape(*x.shape[:-1], d, d)
-    rho = 0.5 * (rho + rho.conj().mT)
+    return 0.5 * (rho + rho.conj().mT)
+
+
+def _least_squares(maps, counts, flux):
+    # the unprojected least-squares estimate of one record or a stack: the
+    # solution of flux Tr(rho Pi_s) = c_s scaled to trace 1, or I/d where its
+    # trace vanishes
+    d = maps.d
+    rho = _inverse(maps, counts / np.asarray(flux)[..., None])
     tr = np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     flat = np.abs(tr) < 1e-12
     return np.where(flat, np.eye(d) / d, rho / np.where(flat, 1.0, tr))
@@ -415,8 +436,14 @@ def mle_reconstruct(rec, max_iter=200):
     eigenvalues headed for 0 follow a cut of mu in one full step. The path
     starts at I/d with mu = N/d^2, N the total count. A record whose settings
     are informationally complete, whose counts are all positive and whose
-    unprojected least-squares estimate is positive definite starts at that
-    estimate with mu = 0 instead, taking plain Newton steps on log L; if its
+    interior estimate is positive definite starts at that estimate with
+    mu = 0 instead, taking plain Newton steps on log L. On the standard
+    settings (S = d^2, with a trace functional that is 1 on the settings in
+    {z0, z1}^n and 0 elsewhere) that estimate is the closed-form maximum of
+    log L over unit-trace Hermitian matrices, rho = P^-1 q with
+    q_s = c_s / N_Z on {z0, z1}^n, N_Z their total count, and c_s / flux
+    elsewhere; its gradient is (N_Z - flux) I, so the gap certifies it with
+    0 steps. Elsewhere it is the unprojected least-squares estimate; if its
     line search takes a step shorter than 1, the maximum may lie on the
     boundary, and it restarts at I/d with mu = N/d^2 (the steps taken count
     toward ``iterations`` and ``max_iter``). A backtracking line
@@ -449,52 +476,83 @@ def mle_reconstruct(rec, max_iter=200):
 def _mle_batch(recs, max_iter=200):
     """``mle_reconstruct`` on each of many records that share one settings tuple.
 
-    Every unfinished record takes its Newton step in the same round, so one
-    batched ``eigh`` and ``solve`` and two batched ``eigvalsh`` serve up to
-    _BATCH records, and a record leaves the round when it is certified. Each
-    record picks its start from its own counts, with one batched ``eigvalsh``
-    of the least-squares estimates: that estimate with mu = 0 where it is an
-    interior state, I/d on the barrier path elsewhere. Records from both
-    starts share the rounds, and an interior record whose full step is
-    refused rejoins the barrier path from I/d in the next round. All
-    arithmetic is elementwise or one product per record, never a product
-    across records, so each result is bit for bit the same alone, in any
-    subset and in any order.
+    Each record picks its start from its own counts, with one batched
+    ``eigvalsh`` of the estimates: on the standard settings the closed-form
+    maximum, elsewhere the least-squares estimate, with mu = 0 where it is
+    an interior state, I/d on the barrier path where it is not. The records
+    are solved in chunks of _BATCH, those with the interior start first (in
+    a stable order), so that a chunk of records certified at their start
+    does not wait on the barrier path's rounds. Within a chunk every
+    unfinished record takes its Newton step in the same round, so one
+    batched ``eigh`` and ``solve`` and two batched ``eigvalsh`` serve the
+    chunk, and a record leaves the round when it is certified. An interior
+    record whose full step is refused rejoins the barrier path from I/d in
+    the next round. All arithmetic is elementwise or one product per
+    record, never a product across records, so each result is bit for bit
+    the same alone, in any subset and in any order.
     """
     if not recs:
         return []
     if any(r.settings != recs[0].settings for r in recs):
         raise ValueError("records in one batch must share their settings")
-    if len(recs) > _BATCH:
-        return [
-            res for lo in range(0, len(recs), _BATCH)
-            for res in _mle_batch(recs[lo : lo + _BATCH], max_iter)
-        ]
     maps = _linear_maps(recs[0].settings)
+    d = maps.d
+    counts = np.array([r.counts for r in recs])
+    flux = np.array([r.flux for r in recs])
+    ls = _least_squares(maps, counts, flux)
+    # the interior start (see mle_reconstruct), tested per record; q_s > 0
+    # holds for a positive definite estimate, and is tested too in case
+    # rounding breaks it
+    est = ls if maps.zset is None else _closed_form(maps, counts, flux)
+    interior = (
+        (maps.rank == d * d)
+        & np.all(counts > 0, axis=-1)
+        & (np.linalg.eigvalsh(est)[:, 0] > 0.0)
+        & np.all(_probabilities(maps.pf, est) > 0.0, axis=-1)
+    )
+    start = np.where(interior[:, None, None], est, np.eye(d) / d)
+    order = np.argsort(~interior, kind="stable")
+    results = [None] * len(recs)
+    for lo in range(0, len(recs), _BATCH):
+        idx = order[lo : lo + _BATCH]
+        rho, q, gap, iterations, converged = _newton(
+            maps, counts[idx], flux[idx], start[idx], interior[idx], max_iter
+        )
+        for j, n in enumerate(idx):
+            results[n] = _result(
+                rho[j], q[j], gap[j], recs[n], ls[n], maps, iterations[j], converged[j]
+            )
+    return results
+
+
+def _closed_form(maps, counts, flux):
+    # the maximum of log L over unit-trace Hermitian matrices, for settings
+    # with a 0/1 trace functional (maps.zset), of one record or a stack: with
+    # N_Z the count on zset, stationarity under tr rho = sum_zset q_s = 1 gives
+    # q_s = c_s / N_Z on zset and c_s / flux elsewhere, and rho = P^-1 q. A
+    # record with N_Z = 0 has a zero count, so it does not start here; its
+    # N_Z is replaced by 1 only to keep the division finite
+    n_z = counts[..., maps.zset].sum(axis=-1)
+    n_z = np.where(n_z > 0, n_z, 1.0)[..., None]
+    return _inverse(maps, counts / np.where(maps.zset, n_z, np.asarray(flux)[..., None]))
+
+
+def _newton(maps, counts, flux, rho, interior, max_iter):
+    # the Newton rounds of _mle_batch on one chunk, from the starts rho
+    # (interior ones with mu = 0); returns the last iterates, their q, gaps,
+    # step counts and convergence. rho and interior are the chunk's own copies
     pf, kets, g, d = maps.pf, maps.kets, maps.diag, maps.d
     iu, ju = np.triu_indices(d, 1)
     # coordinates 0 .. n_off - 1 are the pairs i < j, the rest the diagonal
     n_off = 2 * iu.size
-    counts = np.array([r.counts for r in recs])
-    flux = np.array([r.flux for r in recs])
     n_total = counts.sum(axis=-1)
-    # the interior start (see mle_reconstruct); q_s > 0 holds for a positive
-    # definite estimate, and is tested too in case rounding breaks it
-    ls = _least_squares(maps, counts, flux)
-    interior = (
-        (maps.rank == d * d)
-        & np.all(counts > 0, axis=-1)
-        & (np.linalg.eigvalsh(ls)[:, 0] > 0.0)
-        & np.all(_probabilities(pf, ls) > 0.0, axis=-1)
-    )
     mixed = np.eye(d) / d
-    rho = np.where(interior[:, None, None], ls, mixed)
     q = _probabilities(pf, rho)
     mu_path = n_total / (d * d)
     mu = np.where(interior, 0.0, mu_path)
     mu_h = mu.copy()
-    gap = np.zeros(len(recs))
-    iterations = np.zeros(len(recs), dtype=int)
+    gap = np.zeros(len(counts))
+    iterations = np.zeros(len(counts), dtype=int)
     live = np.flatnonzero(n_total > 0)
     for it in range(max_iter + 1):
         c, fl, ql, nl = counts[live], flux[live], q[live], n_total[live]
@@ -569,11 +627,7 @@ def _mle_batch(recs, max_iter=200):
             if not todo.size:
                 break
         q[live] = _probabilities(pf, rho[live])
-    converged = gap <= MLE_TOL * n_total
-    return [
-        _result(rho[n], q[n], gap[n], rec, ls[n], maps, iterations[n], converged[n])
-        for n, rec in enumerate(recs)
-    ]
+    return rho, q, gap, iterations, gap <= MLE_TOL * n_total
 
 
 def _resample(rec, seed):

@@ -127,6 +127,9 @@ def mle(settings=(("z0",),), max_iter=200):
     ),
     pytest.param(counts(rho=np.full((8, 8), np.nan)), id="simulate_state_nan"),
     pytest.param(counts(rho=np.full((8, 8), np.inf)), id="simulate_state_inf"),
+    pytest.param(lambda: fidelity(np.full((2, 2), np.nan), np.eye(2) / 2), id="fidelity_nan"),
+    pytest.param(lambda: fidelity(np.eye(2) / 2, np.full((2, 2), np.inf)), id="fidelity_inf"),
+    pytest.param(lambda: negativity(np.full((4, 4), np.nan), (0,)), id="negativity_nan"),
     # settings: an unknown label, a string in place of a label tuple, none
     pytest.param(counts(settings=[("q1", "z0", "z0")]), id="simulate_settings_label"),
     pytest.param(counts(settings=["z0z0z0"]), id="simulate_settings_string"),
@@ -171,6 +174,12 @@ def mle(settings=(("z0",),), max_iter=200):
     pytest.param(lambda: average_preparation_fidelity(np.eye(4) / 4), id="prep_fidelity_shape"),
     pytest.param(lambda: preparation_records(np.eye(4) / 4), id="prep_records_shape"),
     pytest.param(lambda: conditional_state(np.eye(4) / 4, "Z", "X", 0, 0), id="conditional_shape"),
+    # basis labels among X, Y, Z, outcomes 0 or 1, and pairs with a target
+    pytest.param(lambda: conditional_state(np.eye(8) / 8, "Q", "X", 0, 0), id="conditional_basis"),
+    pytest.param(lambda: conditional_state(np.eye(8) / 8, "Z", "X", 2, 0), id="conditional_outcome"),
+    pytest.param(
+        lambda: preparation_records(np.eye(8) / 8, pairs=[("X", "Z")]), id="prep_records_pair"
+    ),
     pytest.param(lambda: monte_carlo_statistic(record()(), np.trace, 1, seed=0), id="mc_samples"),
     pytest.param(lambda: monte_carlo_statistic(record()(), np.trace, 2.5, seed=0), id="mc_samples_float"),
     pytest.param(lambda: monte_carlo_statistic(record()(), np.trace, 2, seed=None), id="mc_seed_none"),

@@ -10,12 +10,16 @@ from thermalcluster.graphs import Graph, linear_graph
 from thermalcluster.linalg import KETS, validate_density_matrix
 from thermalcluster.thermal import p_from_temperature, thermal_state_model
 from thermalcluster.tomography import (
+    _BATCH,
     _BOUNDARY,
     MLE_TOL,
     CountRecord,
+    _cached_maps,
+    _closed_form,
     _least_squares,
     _linear_maps,
     _mle_batch,
+    _newton,
     _resample,
     _whitened_eigenvalues,
     expected_probabilities,
@@ -262,9 +266,10 @@ def test_mle_batch_results_do_not_depend_on_the_batch():
     # each record's result is the same bit for bit alone, in one mixed batch
     # and in reverse order: tomo_ladder cells, a record with zero counts and
     # an all-zero record, more records than one chunk of the solver holds.
-    # The flux-1e6 records start at their least-squares estimate, the rest
-    # on the barrier path, so the batches mix both starts
+    # The flux-1e6 records start at their closed-form maximum, the rest on
+    # the barrier path, so the batches mix both starts
     settings = standard_settings(3)
+    maps = _linear_maps(settings)
     recs = []
     for t in (0.5, 1.8):
         rho = thermal_state_model(linear_graph(3), p_from_temperature(t), 0.84 * np.pi)
@@ -290,11 +295,21 @@ def test_mle_batch_results_do_not_depend_on_the_batch():
     results = check(recs)
     assert all(res.converged for res in results)
     steps = [res.iterations for res in results[:-1]]
-    assert min(steps) <= 3 and max(steps) >= 10
+    assert min(steps) == 0 and max(steps) >= 10
     assert np.array_equal(results[-1].rho, np.eye(8) / 8)
     assert results[-1].gap == 0.0 and results[-1].iterations == 0
+    # the closed-form records are certified at their start, the others are
+    # still unconverged after one step
+    closed = [
+        bool(np.all(rec.counts > 0))
+        and np.linalg.eigvalsh(_closed_form(maps, rec.counts, rec.flux))[0] > 0.0
+        for rec in recs[:-1]
+    ]
+    expected = [flux == 1e6 for t in (0.5, 1.8) for flux in (1e3, 1e6) for _ in range(4)]
+    assert closed == expected + [False]
     capped = check(recs[:-1], max_iter=1)
-    assert all(not res.converged and res.iterations == 1 for res in capped)
+    for res, cf in zip(capped, closed):
+        assert (res.converged, res.iterations) == ((True, 0) if cf else (False, 1))
     # not informationally complete: the likelihood does not see the
     # coherence, which the barrier keeps at 0
     lone = CountRecord(settings=(("z0",), ("z1",)), counts=np.array([5.0, 1.0]), flux=1.0)
@@ -333,28 +348,129 @@ def test_mle_certificate_against_diluted_rrho():
 
 
 def test_mle_interior_start_and_its_fallback():
-    # both records start at their least-squares estimate, which is positive
-    # definite, with every count positive. At T/gap 1.8 the maximum lies
-    # inside the state set and plain Newton certifies it in a few steps; at
-    # T/gap 0.5 it lies on the boundary, a Newton step is cut short
-    # and the record walks the barrier path from I/8 instead
-    settings = standard_settings(3)
-    maps = _linear_maps(settings)
-    for t, seed, steps in ((1.8, 40, (1, 3)), (0.5, 51, (4, 29))):
+    # every record has all counts positive and a positive-definite
+    # least-squares estimate. On the standard settings at T/gap 1.8 the
+    # closed-form maximum is positive definite too, so it is the MLE,
+    # certified at its start with 0 steps. At T/gap 0.5 it is not: the
+    # maximum lies on the boundary and the record walks the barrier path
+    # from I/8. On the overcomplete MUB settings at T/gap 0.3 the record
+    # starts at its least-squares estimate, a Newton step is cut short, and
+    # it restarts on the barrier path from I/8
+    for settings, t, seed, steps in (
+        (standard_settings(3), 1.8, 40, (0, 0)),
+        (standard_settings(3), 0.5, 51, (4, 29)),
+        (mub_settings(3), 0.3, 60, (4, 29)),
+    ):
+        maps = _linear_maps(settings)
         rho = thermal_state_model(linear_graph(3), p_from_temperature(t), 0.84 * np.pi)
         rec = simulate_counts(rho, settings, 1e6, seed=seed)
         assert np.all(rec.counts > 0)
         lam_ls = np.linalg.eigvalsh(_least_squares(maps, rec.counts, rec.flux))[0]
         assert lam_ls > 0.0
+        if maps.zset is not None:
+            lam_cf = np.linalg.eigvalsh(_closed_form(maps, rec.counts, rec.flux))[0]
+            assert (lam_cf > 0.0) == (t == 1.8)
         res = mle_reconstruct(rec)
         assert res.converged and steps[0] <= res.iterations <= steps[1], (t, res.iterations)
         validate_density_matrix(res.rho)
-        if t == 0.5:
+        if t < 1.0:
             assert np.linalg.eigvalsh(res.rho)[0] < 0.1 * lam_ls
         # the diluted R rho R oracle, as in the test above
         for start, n in ((np.eye(8, dtype=complex) / 8, 500), (res.rho, 200)):
             oracle = poisson_log_likelihood(diluted_rrho(rec, start, n), rec)
             assert oracle <= res.log_likelihood + res.gap, (t, n)
+
+
+def test_trace_functional_marks_the_z_settings():
+    # tr rho = sum_s q_s over the 2^n settings in {z0, z1}^n, which sum to I;
+    # the overcomplete MUB family has no 0/1 trace functional
+    for n in (1, 2, 3):
+        settings = standard_settings(n)
+        zset = _cached_maps(tuple(settings)).zset
+        assert zset.tolist() == [set(s) <= {"z0", "z1"} for s in settings]
+        assert zset.sum() == 2**n and not zset.flags.writeable
+        assert _cached_maps(tuple(mub_settings(n))).zset is None
+
+
+def barrier_solve(rec, max_iter=200):
+    # the same counts solved from I/d on the barrier path, skipping the start
+    maps = _linear_maps(rec.settings)
+    rho, q, gap, iterations, converged = _newton(
+        maps, rec.counts[None], np.array([rec.flux]), np.eye(maps.d, dtype=complex)[None] / maps.d,
+        np.array([False]), max_iter,
+    )
+    assert converged[0] and iterations[0] > 0
+    return rho[0], q[0], gap[0]
+
+
+def test_closed_form_is_the_certified_maximum():
+    # a closed-form record is certified with 0 steps, at a gap within
+    # rounding; a barrier-path solve of its counts agrees within the two
+    # certificates. log L is concave with curvature at least
+    # kappa = sum_s c_s dq_s^2 / max(q_s, q'_s)^2 along the segment between
+    # the two solutions, so kappa / 2 <= gap + gap' bounds how far apart
+    # their probabilities, and so their states, can lie
+    settings = standard_settings(3)
+    for t, flux, seed in ((np.inf, 1e3, 1), (1.8, 1e6, 0), (1.8, 1e8, 0)):
+        rho = thermal_state_model(linear_graph(3), p_from_temperature(t), 0.84 * np.pi)
+        rec = simulate_counts(rho, settings, flux, seed=seed)
+        n = rec.counts.sum()
+        res = mle_reconstruct(rec, max_iter=0)
+        assert res.converged and res.iterations == 0
+        assert res.gap <= 1e-12 * n, (t, flux, res.gap / n)
+        rho_b, q_b, gap_b = barrier_solve(rec)
+        ll_b = poisson_log_likelihood(rho_b, rec)
+        assert ll_b <= res.log_likelihood + res.gap
+        assert res.log_likelihood <= ll_b + gap_b
+        q = expected_probabilities(res.rho, settings)
+        kappa = np.sum(rec.counts * (q - q_b) ** 2 / np.maximum(q, q_b) ** 2)
+        assert 0.5 * kappa <= res.gap + gap_b, (t, flux)
+        assert np.abs(res.rho - rho_b).max() < 1e-4
+
+
+def test_closed_form_needs_positive_counts_and_a_positive_estimate():
+    # with max_iter=0 only a record that starts at its certified maximum
+    # converges; one zero count, or a closed form that is not positive
+    # definite, sends the record to the barrier path. A zero count c_s
+    # makes <v_s| rho |v_s> = 0 in the closed form, so it is singular at
+    # best; the count test covers rounding that leaves it positive
+    settings = standard_settings(3)
+    maps = _linear_maps(settings)
+    rho = thermal_state_model(linear_graph(3), p_from_temperature(1.8), 0.84 * np.pi)
+    rec = simulate_counts(rho, settings, 1e6, seed=0)
+    assert mle_reconstruct(rec, max_iter=0).converged
+    counts = rec.counts.copy()
+    counts[np.argmin(counts)] = 0.0
+    zero = CountRecord(settings=settings, counts=counts, flux=rec.flux)
+    low = simulate_counts(rho, settings, 1e3, seed=0)
+    assert np.all(low.counts > 0)
+    assert np.linalg.eigvalsh(_closed_form(maps, low.counts, low.flux))[0] < 0.0
+    for r in (zero, low):
+        assert not mle_reconstruct(r, max_iter=0).converged
+        res = mle_reconstruct(r)
+        assert res.converged and res.iterations > 0
+
+
+def test_mle_batch_of_mixed_starts_matches_each_record_alone():
+    # more than one chunk of records, closed-form and barrier-path starts
+    # interleaved: the batch groups them by start, and every result keeps
+    # the bits of its record solved alone, in the caller's order
+    settings = standard_settings(3)
+    recs = []
+    for seed in range(7):
+        for t, flux in ((1.8, 1e6), (0.8, 2e3), (np.inf, 1e3)):
+            rho = thermal_state_model(linear_graph(3), p_from_temperature(t), 0.84 * np.pi)
+            recs.append(simulate_counts(rho, settings, flux, seed=seed))
+    assert len(recs) > _BATCH
+    got = _mle_batch(recs)
+    steps = [res.iterations for res in got]
+    assert 0 < steps.count(0) < len(recs)
+    for rec, b in zip(recs, got):
+        a = mle_reconstruct(rec)
+        assert np.array_equal(a.rho, b.rho)
+        assert (a.iterations, a.converged, a.gap, a.log_likelihood) == (
+            b.iterations, b.converged, b.gap, b.log_likelihood
+        )
 
 
 def test_mle_certified_on_extreme_inputs():
@@ -363,8 +479,10 @@ def test_mle_certified_on_extreme_inputs():
     # scaled barrier path takes at most 27 Newton steps on these cases, the
     # unscaled one (barrier Hessian weighted by the current mu) took 47.
     # Records whose least-squares estimate is an interior state start there
-    # and take plain Newton steps: the mean falls from 18.1 to 14.8, the
-    # maximum, set by records on the barrier path, stays
+    # and take plain Newton steps: the mean falls from 18.1 to 14.8. On the
+    # standard settings the start is the closed-form maximum, certified with
+    # 0 steps, and the mean falls to 14.4; the maximum, set by records on
+    # the barrier path, stays
     rows = []
     steps = []
     for n in (1, 2, 3):
@@ -384,7 +502,7 @@ def test_mle_certified_on_extreme_inputs():
     assert (3, 64, 0.2, 1e8, 1, True, True) in rows
     assert [r for r in rows if not (r[5] and r[6])] == []
     assert max(steps) <= 29
-    assert np.mean(steps) <= 15.5
+    assert np.mean(steps) <= 15.0
 
 
 def test_mle_batch_needs_one_settings_tuple():
