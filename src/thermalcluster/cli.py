@@ -23,6 +23,7 @@ parsers here or by any library function for an out-of-domain argument),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -247,7 +248,9 @@ def _add_point_flags(sub):
     sub.add_argument("--alpha", default="pi", help="phase angle, e.g. 'pi', '0.84pi', 2.64")
 
 
-def build_parser():
+@functools.lru_cache(maxsize=1)
+def _parser():
+    # built once per process: parse_args leaves the parser as it found it
     parser = _Parser(prog="thermalcluster", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -286,9 +289,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,13 +4,17 @@ The three-qubit chain passes through three regimes as temperature rises:
 free entanglement (every cut NPT), bound entanglement (only the middle-qubit
 cut stays NPT, so nothing is distillable by local operations on single
 qubits), and PPT across every cut. ``transition_points`` locates the two
-boundaries along the dephasing sweep by bisection to double resolution,
-evaluating each round several midpoints of the path regula falsi predicts
-in one batched call, so it returns plain bisection's bits from fewer calls.
+boundaries along the dephasing sweep. At any phase-gate angle the channel
+is ideal dephasing up to local unitaries, which leave every negativity
+unchanged, so the boundaries are searched once per tolerance at alpha = pi,
+by bisection to double resolution from few batched calls, cached, and
+carried to other angles in closed form.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,65 +116,88 @@ class TransitionPoints:
 def transition_points(alpha, tol=DEFAULT_TOL):
     """Locate where the end-qubit and middle-qubit negativities die out.
 
-    Bisection on the dephasing strength p over [0, 1] for the three-qubit
-    chain model at the given phase-gate angle: the first root is where
-    min(N_Ap, N_Bp) falls to ``tol`` (free -> bound), the second where N_Bs
-    does (bound -> PPT everywhere). Raises BracketingError when a curve
-    never crosses, e.g. alpha = 0 where the channel is the identity; the
-    end curve is checked first.
+    Roots in the dephasing strength p over [0, 1] for the three-qubit chain
+    model at the given phase-gate angle: the first where min(N_Ap, N_Bp)
+    falls to ``tol`` (free -> bound), the second where N_Bs does (bound ->
+    PPT everywhere). Raises BracketingError when a curve does not cross on
+    [0, 1] at this angle, e.g. alpha = 0 where the channel is the identity;
+    the end curve is checked first. That check, one model call, is all a
+    call costs once its tolerance has been searched.
 
-    The search is predicted-path bisection. Each round lists, for each
-    curve, the next few midpoints bisection would visit if every decision
-    went toward the regula-falsi estimate from f(lo) and f(hi). Both
-    curves' lists are built with one thermal_state_model call and their
-    negativities taken from one batched eigvalsh; each list is then walked
-    with bisection's rule until a listed point is no longer the midpoint of
-    the current bracket. Every point evaluated is one bisection evaluates,
-    so every field is bisection's to the bit. Each round halves every open
-    bracket at least once, so the search takes no more rounds than
-    bisection, and far fewer when the prediction holds. The cap is 80
-    halvings per curve, the resolution of a double; a curve stops earlier
-    once no midpoint lies strictly inside its bracket, since f(lo) > 0 >=
-    f(hi) holds throughout and further halvings would change nothing.
+    The channel multiplies each qubit's coherence |0><1| by
+    c = (1 - p/2) + (p/2) e^(-i alpha) = |c| e^(i phi): it is ideal
+    dephasing (alpha = pi) at p_eff = 1 - |c|, followed by the local phase
+    gate diag(1, e^(-i phi)) on every qubit, which leaves every negativity
+    unchanged. So the roots r in p_eff are those at alpha = pi, searched
+    once per tolerance and cached, and since |c|^2 = 1 - s p (2 - p) with
+    s = sin^2(alpha/2), the root at alpha is p = y / (1 + sqrt(1 - y)),
+    y = min(1, r (2 - r) / s). At alpha = pi it is r, to the bit. This also
+    holds at tol = 0, where a search at alpha itself ends where rounding
+    noise decides the sign of a negativity clamped to 0, 0.04 off at
+    0.84 pi; the mapped root lies within 5e-15 of the tol = 1e-15 root.
     """
     if not tol >= 0:
         raise ConfigError("tol must be nonnegative")
-
-    def excess(p_end, p_mid):
-        # negativity - tol of the end curve at each p_end and of the middle
-        # curve at each p_mid, from one model call and one eigvalsh
-        rho = thermal_state_model(CHAIN, np.array(p_end + p_mid, dtype=float), alpha)
-        n = len(p_end)
-        negs = _negativity_of_pt(np.concatenate([
-            partial_transpose(rho[:n], (0,)),
-            partial_transpose(rho[:n], (2,)),
-            partial_transpose(rho[n:], (1,)),
-        ]))
-        return [
-            (np.minimum(negs[:n], negs[n:2 * n]) - tol).tolist(),
-            (negs[2 * n:] - tol).tolist(),
-        ]
-
-    brackets = []
-    for flo, fhi in excess([0.0, 1.0], [0.0, 1.0]):
+    for flo, fhi in _excess(alpha, tol, [0.0, 1.0], [0.0, 1.0]):
         if flo <= 0 or fhi > 0:
             raise BracketingError(
                 f"no sign change on [0.0, 1.0]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
             )
-        brackets.append(_Bracket(0.0, 1.0, flo, fhi))
-    while True:
-        paths = [b.predicted_path() for b in brackets]
-        if not any(paths):
-            break
-        for b, path, fs in zip(brackets, paths, excess(*paths)):
-            b.walk(path, fs)
-    p_end, p_mid = (0.5 * (b.lo + b.hi) for b in brackets)
+    roots = _pi_roots(float(tol))
+    s = math.sin(0.5 * alpha) ** 2
+    if s != 1.0:
+        ys = (min(1.0, r * (2.0 - r) / s) for r in roots)
+        roots = [y / (1.0 + math.sqrt(1.0 - y)) for y in ys]
+    p_end, p_mid = roots
     return TransitionPoints(
         p_free_to_bound=p_end,
         p_bound_to_ppt=p_mid,
         t_free_to_bound=temperature_from_p(p_end),
         t_bound_to_ppt=temperature_from_p(p_mid),
     )
+
+
+def _excess(alpha, tol, p_end, p_mid):
+    # negativity - tol of the end curve at each p_end and of the middle
+    # curve at each p_mid, from one model call and one eigvalsh
+    rho = thermal_state_model(CHAIN, np.array(p_end + p_mid, dtype=float), alpha)
+    n = len(p_end)
+    negs = _negativity_of_pt(np.concatenate([
+        partial_transpose(rho[:n], (0,)),
+        partial_transpose(rho[:n], (2,)),
+        partial_transpose(rho[n:], (1,)),
+    ]))
+    return [
+        (np.minimum(negs[:n], negs[n:2 * n]) - tol).tolist(),
+        (negs[2 * n:] - tol).tolist(),
+    ]
+
+
+@functools.lru_cache(maxsize=8)
+def _pi_roots(tol):
+    # both roots at alpha = pi by predicted-path bisection. Each round lists,
+    # for each curve, the next few midpoints bisection would visit if every
+    # decision went toward the regula-falsi estimate from f(lo) and f(hi);
+    # both lists are evaluated with one _excess call, and each is walked
+    # with bisection's rule until a listed point is no longer the midpoint of
+    # the current bracket. Every point evaluated is one bisection evaluates,
+    # so both roots are bisection's to the bit, from far fewer rounds when
+    # the prediction holds. The cap is 80 halvings per curve, the resolution
+    # of a double; a curve stops earlier once no midpoint lies strictly
+    # inside its bracket. transition_points has checked the brackets at its
+    # own angle; at pi f(0) is the same, and f(1) = -tol since the state at
+    # p = 1 is its diagonal, whose negativity is 0
+    brackets = [
+        _Bracket(0.0, 1.0, flo, fhi)
+        for flo, fhi in _excess(math.pi, tol, [0.0, 1.0], [0.0, 1.0])
+    ]
+    while True:
+        paths = [b.predicted_path() for b in brackets]
+        if not any(paths):
+            break
+        for b, path, fs in zip(brackets, paths, _excess(math.pi, tol, *paths)):
+            b.walk(path, fs)
+    return tuple(0.5 * (b.lo + b.hi) for b in brackets)
 
 
 @dataclass

@@ -9,6 +9,7 @@ on throughout.
 from __future__ import annotations
 
 import numbers
+import operator
 
 import numpy as np
 
@@ -125,7 +126,10 @@ def partial_transpose(rho, subset):
     positive; its negative eigenvalues witness entanglement across the cut.
     """
     rho, n = _states(rho)
-    subset = set(int(q) for q in subset)
+    try:
+        subset = {operator.index(q) for q in subset}
+    except TypeError:
+        raise ConfigError(f"qubit indices must be integers, got {subset!r}") from None
     if subset and (max(subset) >= n or min(subset) < 0):
         raise ConfigError(f"qubit index out of range for n={n}: {sorted(subset)}")
     lead = rho.ndim - 2

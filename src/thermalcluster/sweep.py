@@ -30,7 +30,7 @@ import numpy as np
 from .entanglement import DEFAULT_TOL, classify_values, negativity
 from .graphs import CHAIN, format_graph
 from .linalg import ConfigError, _check_integer, fidelity
-from .mbqc import average_preparation_fidelity
+from .mbqc import _preparation_operator
 from .thermal import gibbs_state, p_from_temperature, temperature_from_p, thermal_state_model
 from .tomography import _mle_batch, _resample, simulate_counts, standard_settings
 
@@ -161,9 +161,11 @@ def _grid_points(cfg):
 def _measure(rhos):
     # the negativities of each state of a C-contiguous stack, one column per
     # cut in _CUTS order, and its preparation fidelity, taken row by row: the
-    # vdot of a contiguous row gives the bits of the single call
+    # vdot of a contiguous row gives the bits of average_preparation_fidelity
+    # without its check per row, as negativity has checked the whole stack
     negs = np.stack([negativity(rhos, c) for c in _CUTS], axis=-1)
-    return negs, np.array([average_preparation_fidelity(rho) for rho in rhos])
+    w = _preparation_operator()
+    return negs, np.array([np.vdot(w, rho).real for rho in rhos])
 
 
 def _rows(pts, rhos, negs, fids, errs):

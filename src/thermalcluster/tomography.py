@@ -199,9 +199,16 @@ class CountRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "settings", tuple(map(tuple, self.settings)))
-        _check_settings(self.settings)
-        counts = np.asarray(self.counts, dtype=float)
+        try:
+            settings = tuple(map(tuple, self.settings))
+        except TypeError:
+            raise ConfigError("settings must be a sequence of label tuples") from None
+        object.__setattr__(self, "settings", settings)
+        _check_settings(settings)
+        try:
+            counts = np.asarray(self.counts, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("counts must be numbers") from None
         object.__setattr__(self, "counts", counts)
         if counts.shape != (len(self.settings),):
             raise ConfigError(
@@ -210,7 +217,11 @@ class CountRecord:
             )
         if not np.all((counts >= 0) & (counts < np.inf)):
             raise ConfigError("counts must be nonnegative and finite")
-        if not 0 < self.flux < np.inf:
+        try:
+            flux_ok = 0 < self.flux < np.inf
+        except (TypeError, ValueError):
+            flux_ok = False
+        if not flux_ok:
             raise ConfigError("flux must be positive and finite")
 
     @property

@@ -7,6 +7,7 @@ import shlex
 import numpy as np
 import pytest
 
+from thermalcluster import cli
 from thermalcluster.cli import main, parse_alpha, parse_grid
 from thermalcluster.sweep import CSV_COLUMNS, ConfigError
 
@@ -126,6 +127,42 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main([]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_consecutive_calls_parse_as_a_fresh_parser_does(capsys):
+    # main builds its parser once per process; a flag given to one call
+    # does not carry over to the next, and a bad flag leaves it usable
+    runs = [
+        ["sweep", "--p-grid", "0.5", "--seed", "9"],
+        ["sweep", "--p-grid", "0.5"],
+        ["sweep", "--p-grid", "0.5", "--bogus"],
+        ["mbqc", "--t", "1.0", "--alpha", "0.84pi"],
+        ["mbqc", "--t", "1.0"],
+        ["spectrum", "--gap", "2"],
+        ["spectrum"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    cli._parser.cache_clear()
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    assert [run(argv) for argv in runs] == fresh
+    assert cli._parser() is parser
+    assert [code for code, _ in fresh] == [0, 0, 1, 0, 0, 0, 0]
+    assert "--bogus" in fresh[2][1].err
+    assert "# seed = 9" in fresh[0][1].out and "# seed = 9" not in fresh[1][1].out
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("thermalcluster ")
+    assert run(["spectrum"]) == fresh[-1]
 
 
 def test_runtime_failures_exit_2(monkeypatch, capsys):

@@ -1,3 +1,6 @@
+import math
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from thermalcluster.entanglement import (
 from thermalcluster.graphs import CHAIN, linear_graph
 from thermalcluster.linalg import ConfigError
 from thermalcluster.thermal import temperature_from_p, thermal_state_model
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def bell_state():
@@ -129,7 +134,7 @@ def test_transition_points_require_bracketing():
 
 def _bisect_decreasing(f):
     # one curve at a time, 80 halvings: plain bisection, whose every bit
-    # transition_points keeps
+    # transition_points keeps at alpha = pi
     lo, hi = 0.0, 1.0
     flo, fhi = f(lo), f(hi)
     if flo <= 0 or fhi > 0:
@@ -160,27 +165,90 @@ def _sequential_transition_points(alpha, tol):
     )
 
 
+def _mapped_from_pi(alpha, at_pi):
+    # the alpha = pi roots r carried to alpha: |c|^2 = 1 - s p (2 - p) with
+    # s = sin^2(alpha/2) equals (1 - r)^2 at p = y / (1 + sqrt(1 - y)),
+    # y = r (2 - r) / s
+    s = math.sin(0.5 * alpha) ** 2
+    ps = []
+    for r in (at_pi.p_free_to_bound, at_pi.p_bound_to_ppt):
+        y = min(1.0, r * (2.0 - r) / s)
+        ps.append(y / (1.0 + math.sqrt(1.0 - y)))
+    return TransitionPoints(*ps, *map(temperature_from_p, ps))
+
+
+def _hex(tp):
+    return [float(v).hex() for v in vars(tp).values()]
+
+
 # at tol 0.1 the two roots lie on either side of p = 1/2, so the two
 # curves run out of representable midpoints in different rounds; at tol 0
 # and 0.3 regula falsi mispredicts the most bisection steps
 @pytest.mark.parametrize("tol", [0.0, 0.02, 1e-3, 1e-9, 0.1, 0.3])
 @pytest.mark.parametrize("a", [0.8, 0.84, 0.9, 1.0])
 def test_transition_points_match_sequential_bisection(a, tol):
-    # the predicted-path search, its early stop and its per-curve cap give
-    # every field to the bit; where the reference finds no bracket, it
-    # fails the same way
+    # at pi every field is sequential bisection's to the bit; at another
+    # angle it is the closed-form map of those pi roots, and within 1e-14
+    # of sequential bisection at that angle. At tol = 0 bisection at the
+    # angle ends where rounding noise in a negativity clamped to 0 decides,
+    # so there the reference is its tol = 1e-15 root. Where the reference
+    # finds no bracket, transition_points fails the same way
+    alpha = a * np.pi
     try:
-        ref = _sequential_transition_points(a * np.pi, tol)
+        ref = _sequential_transition_points(alpha, tol)
     except BracketingError as err:
         with pytest.raises(BracketingError) as got:
-            transition_points(a * np.pi, tol)
+            transition_points(alpha, tol)
         assert str(got.value) == str(err)
         return
-    got = transition_points(a * np.pi, tol)
-    assert got == ref
-    assert [float(v).hex() for v in vars(got).values()] == [
-        float(v).hex() for v in vars(ref).values()
-    ]
+    got = transition_points(alpha, tol)
+    if a == 1.0:
+        assert got == ref
+        assert _hex(got) == _hex(ref)
+    else:
+        assert _hex(got) == _hex(_mapped_from_pi(alpha, _sequential_transition_points(np.pi, tol)))
+    if tol == 0.0:
+        ref = _sequential_transition_points(alpha, 1e-15)
+    assert abs(got.p_free_to_bound - ref.p_free_to_bound) <= 1e-14
+    assert abs(got.p_bound_to_ppt - ref.p_bound_to_ppt) <= 1e-14
+
+
+def test_phase_gate_channel_is_dephasing_up_to_local_phase_gates():
+    # the channel multiplies each coherence |0><1| by c = |c| e^(i phi): the
+    # state is the alpha = pi one at 1 - |c| conjugated by
+    # diag(1, e^(-i phi)) on every qubit, so no negativity moves
+    ps = np.linspace(0.0, 1.0, 21)
+    weight = np.array([bin(i).count("1") for i in range(8)])
+    for a in np.linspace(0.5, 1.0, 11):
+        alpha = a * np.pi
+        c = (1.0 - ps / 2.0) + (ps / 2.0) * np.exp(-1j * alpha)
+        rho = thermal_state_model(CHAIN, ps, alpha)
+        rho_pi = thermal_state_model(CHAIN, 1.0 - np.abs(c), np.pi)
+        d = np.exp(-1j * np.angle(c)[:, None] * weight)
+        assert np.abs(rho - d[:, :, None] * rho_pi * d[:, None, :].conj()).max() <= 1e-15
+        for cut in ((0,), (1,), (2,)):
+            assert np.abs(negativity(rho, cut) - negativity(rho_pi, cut)).max() <= 1e-14, (a, cut)
+
+
+def _transition_golden_text():
+    # every field's repr at the regime map's slices and tolerances; a slice
+    # where a curve does not cross reads BracketingError
+    lines = ["alpha_over_pi,tol,p_free_to_bound,p_bound_to_ppt,t_free_to_bound,t_bound_to_ppt"]
+    for tol in (0.02, 1e-9):
+        for a in (round(0.80 + 0.02 * k, 2) for k in range(11)):
+            try:
+                tp = transition_points(a * math.pi, tol)
+            except BracketingError:
+                cells = ["BracketingError"] * 4
+            else:
+                cells = [repr(v) for v in vars(tp).values()]
+            lines.append(",".join([repr(a), repr(tol), *cells]))
+    return "\n".join(lines) + "\n"
+
+
+def test_golden_transition_points_regression():
+    # the text is regenerated in full and compared byte for byte
+    assert _transition_golden_text() == (DATA / "transition_golden.csv").read_text()
 
 
 def test_transition_points_report_the_curve_that_fails_to_bracket():

@@ -11,6 +11,7 @@ from thermalcluster import entanglement, sweep
 from thermalcluster.entanglement import negativity, transition_points
 from thermalcluster.graphs import CHAIN
 from thermalcluster.linalg import PositivityError, fidelity
+from thermalcluster.mbqc import average_preparation_fidelity
 from thermalcluster.sweep import SweepConfig, run_sweep
 from thermalcluster.thermal import (
     gibbs_state,
@@ -18,6 +19,7 @@ from thermalcluster.thermal import (
     temperature_from_p,
     thermal_state_model,
 )
+from thermalcluster.tomography import _mle_batch, simulate_counts, standard_settings
 
 P_GRID = (0.0, 0.3, 1.0)
 T_GRID = (0.0, 1e-20, 0.7, np.inf)
@@ -103,12 +105,32 @@ def test_model_sweep_makes_one_call_per_quantity(monkeypatch):
     }
 
 
+def test_sweep_preparation_fidelity_is_the_public_one_to_the_bit():
+    # the sweep takes Tr(rho W) row by row without the per-row state check;
+    # on a model stack and on a reconstructed stack the values are those
+    # of average_preparation_fidelity, bit for bit
+    ps = np.array([p_from_temperature(t) for t in DENSE_T])
+    models = thermal_state_model(CHAIN, ps, 0.84 * np.pi)
+    recs = [
+        simulate_counts(m, standard_settings(3), 2e3, seed=i) for i, m in enumerate(models[::6])
+    ]
+    rhos = np.stack([res.rho for res in _mle_batch(recs)])
+    for stack in (models, rhos):
+        _, fids = sweep._measure(stack)
+        assert _same_bits(fids, np.array([average_preparation_fidelity(r) for r in stack]))
+
+
 def test_transition_points_builds_both_midpoints_in_one_call(monkeypatch):
-    # one call checks both brackets, then each round builds both curves'
-    # predicted midpoints in one call; lockstep bisection took 55 calls at
-    # both tolerances, one curve at a time 2 * (2 + 80) = 164
+    # one call checks both brackets, then each round of the cold search at
+    # pi builds both curves' predicted midpoints in one call; lockstep
+    # bisection took 55 calls at both tolerances, one curve at a time
+    # 2 * (2 + 80) = 164. A warm call only checks the brackets at its angle
     calls = _spy(monkeypatch, entanglement, "thermal_state_model")
+    entanglement._pi_roots.cache_clear()
     for tol, bound in ((0.02, 16), (1e-9, 24)):
         calls.clear()
         transition_points(0.84 * np.pi, tol)
         assert 0 < len(calls) <= bound, tol
+        calls.clear()
+        transition_points(0.84 * np.pi, tol)
+        assert len(calls) == 1, tol

@@ -130,6 +130,12 @@ def mle(settings=(("z0",),), max_iter=200):
     pytest.param(lambda: fidelity(np.full((2, 2), np.nan), np.eye(2) / 2), id="fidelity_nan"),
     pytest.param(lambda: fidelity(np.eye(2) / 2, np.full((2, 2), np.inf)), id="fidelity_inf"),
     pytest.param(lambda: negativity(np.full((4, 4), np.nan), (0,)), id="negativity_nan"),
+    # wrong types: a cut that is not qubit indices, settings that are not
+    # label tuples, a flux or counts that are not numbers
+    pytest.param(lambda: negativity(np.eye(8) / 8, "a"), id="negativity_cut_string"),
+    pytest.param(record(settings=5), id="record_settings_number"),
+    pytest.param(record(flux="a"), id="record_flux_string"),
+    pytest.param(record(counts=["a"]), id="record_counts_string"),
     # settings: an unknown label, a string in place of a label tuple, none
     pytest.param(counts(settings=[("q1", "z0", "z0")]), id="simulate_settings_label"),
     pytest.param(counts(settings=["z0z0z0"]), id="simulate_settings_string"),
