@@ -6,21 +6,21 @@ cut stays NPT, so nothing is distillable by local operations on single
 qubits), and PPT across every cut. ``transition_points`` locates the two
 boundaries along the dephasing sweep. At any phase-gate angle the channel
 is ideal dephasing up to local unitaries, which leave every negativity
-unchanged, so the boundaries are searched once per tolerance at alpha = pi,
-by bisection to double resolution from few batched calls, cached, and
-carried to other angles in closed form.
+unchanged. At alpha = pi both curves are polynomials in p, so the boundaries
+are their roots in closed form (Newton's method for the cubic's), carried
+to other angles in closed form; the only state a call builds is the check
+that both curves cross at its angle.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import CHAIN
-from .linalg import ConfigError, _float_or_stack, _states, partial_transpose
+from .linalg import ConfigError, _float_or_stack, _is_real, _states, partial_transpose
 from .thermal import temperature_from_p, thermal_state_model
 
 __all__ = [
@@ -35,11 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-
-# transition_points: midpoints listed per curve and round, and the cap on
-# halvings per curve
-_PATH_LEN = 6
-_MAX_HALVINGS = 80
 
 # the three single-qubit cuts of the chain, the only distinct bipartitions
 _CUTS = ((0,), (1,), (2,))
@@ -121,24 +116,34 @@ def transition_points(alpha, tol=DEFAULT_TOL):
     falls to ``tol`` (free -> bound), the second where N_Bs does (bound ->
     PPT everywhere). Raises BracketingError when a curve does not cross on
     [0, 1] at this angle, e.g. alpha = 0 where the channel is the identity;
-    the end curve is checked first. That check, one model call, is all a
-    call costs once its tolerance has been searched.
+    the end curve is checked first. That check, one model call, is the only
+    state a call builds.
 
-    The channel multiplies each qubit's coherence |0><1| by
-    c = (1 - p/2) + (p/2) e^(-i alpha) = |c| e^(i phi): it is ideal
+    At alpha = pi the eigenvalues of the partial transposes are polynomials
+    in p, and the two curves are N_end = max(0, (p^2 - 4p + 2) / 4) and
+    N_mid = max(0, (4 - 8p + 4p^2 - p^3) / 8). The end root is
+    2 - sqrt(2 + 4 tol), taken in the rationalised form
+    (2 - 4 tol) / (2 + sqrt(2 + 4 tol)), which does not cancel. The middle
+    root is the one zero in [0, 1] of g(p) = p^3 - 4p^2 + 8p - 4 + 8 tol:
+    g is increasing and concave there and g(0) < 0 once the check has
+    passed, so Newton steps from p = 0 rise monotonically to it, and they
+    stop at the first step that does not raise p. Both roots lie within a
+    few ulps of where the exact sign of each curve minus tol changes.
+
+    At another angle the channel multiplies each qubit's coherence |0><1|
+    by c = (1 - p/2) + (p/2) e^(-i alpha) = |c| e^(i phi): it is ideal
     dephasing (alpha = pi) at p_eff = 1 - |c|, followed by the local phase
     gate diag(1, e^(-i phi)) on every qubit, which leaves every negativity
-    unchanged. So the roots r in p_eff are those at alpha = pi, searched
-    once per tolerance and cached, and since |c|^2 = 1 - s p (2 - p) with
-    s = sin^2(alpha/2), the root at alpha is p = y / (1 + sqrt(1 - y)),
-    y = min(1, r (2 - r) / s). At alpha = pi it is r, to the bit. This also
-    holds at tol = 0, where a search at alpha itself ends where rounding
-    noise decides the sign of a negativity clamped to 0, 0.04 off at
-    0.84 pi; the mapped root lies within 5e-15 of the tol = 1e-15 root.
+    unchanged. So the roots r in p_eff are those at alpha = pi, and since
+    |c|^2 = 1 - s p (2 - p) with s = sin^2(alpha/2), the root at alpha is
+    p = y / (1 + sqrt(1 - y)), y = min(1, r (2 - r) / s). This also holds
+    at tol = 0, where a search at alpha itself ends where rounding noise
+    decides the sign of a negativity clamped to 0, 0.04 off at 0.84 pi;
+    the mapped root lies within 5e-15 of the tol = 1e-15 root.
     """
-    if not tol >= 0:
-        raise ConfigError("tol must be nonnegative")
-    for flo, fhi in _excess(alpha, tol, [0.0, 1.0], [0.0, 1.0]):
+    if not (_is_real(tol) and tol >= 0):
+        raise ConfigError("tol must be a nonnegative number")
+    for flo, fhi in _excess(alpha, tol):
         if flo <= 0 or fhi > 0:
             raise BracketingError(
                 f"no sign change on [0.0, 1.0]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
@@ -157,83 +162,21 @@ def transition_points(alpha, tol=DEFAULT_TOL):
     )
 
 
-def _excess(alpha, tol, p_end, p_mid):
-    # negativity - tol of the end curve at each p_end and of the middle
-    # curve at each p_mid, from one model call and one eigvalsh
-    rho = thermal_state_model(CHAIN, np.array(p_end + p_mid, dtype=float), alpha)
-    n = len(p_end)
-    negs = _negativity_of_pt(np.concatenate([
-        partial_transpose(rho[:n], (0,)),
-        partial_transpose(rho[:n], (2,)),
-        partial_transpose(rho[n:], (1,)),
-    ]))
-    return [
-        (np.minimum(negs[:n], negs[n:2 * n]) - tol).tolist(),
-        (negs[2 * n:] - tol).tolist(),
-    ]
-
-
-@functools.lru_cache(maxsize=8)
 def _pi_roots(tol):
-    # both roots at alpha = pi by predicted-path bisection. Each round lists,
-    # for each curve, the next few midpoints bisection would visit if every
-    # decision went toward the regula-falsi estimate from f(lo) and f(hi);
-    # both lists are evaluated with one _excess call, and each is walked
-    # with bisection's rule until a listed point is no longer the midpoint of
-    # the current bracket. Every point evaluated is one bisection evaluates,
-    # so both roots are bisection's to the bit, from far fewer rounds when
-    # the prediction holds. The cap is 80 halvings per curve, the resolution
-    # of a double; a curve stops earlier once no midpoint lies strictly
-    # inside its bracket. transition_points has checked the brackets at its
-    # own angle; at pi f(0) is the same, and f(1) = -tol since the state at
-    # p = 1 is its diagonal, whose negativity is 0
-    brackets = [
-        _Bracket(0.0, 1.0, flo, fhi)
-        for flo, fhi in _excess(math.pi, tol, [0.0, 1.0], [0.0, 1.0])
-    ]
+    # the end root in its rationalised form, and Newton's steps on g from 0
+    # up to the middle root (see transition_points)
+    c = 8.0 * tol - 4.0
+    p = 0.0
     while True:
-        paths = [b.predicted_path() for b in brackets]
-        if not any(paths):
-            break
-        for b, path, fs in zip(brackets, paths, _excess(math.pi, tol, *paths)):
-            b.walk(path, fs)
-    return tuple(0.5 * (b.lo + b.hi) for b in brackets)
+        step = p - (((p - 4.0) * p + 8.0) * p + c) / ((3.0 * p - 8.0) * p + 8.0)
+        if not step > p:
+            return (2.0 - 4.0 * tol) / (2.0 + math.sqrt(2.0 + 4.0 * tol)), p
+        p = step
 
 
-@dataclass
-class _Bracket:
-    # one curve's bisection bracket; f(lo) > 0 >= f(hi) throughout
-    lo: float
-    hi: float
-    flo: float
-    fhi: float
-    halvings: int = 0
-
-    def predicted_path(self):
-        # the next midpoints bisection visits if each decision goes toward
-        # the regula-falsi root; empty once the bracket cannot shrink or has
-        # had its _MAX_HALVINGS
-        root = self.lo + self.flo * (self.hi - self.lo) / (self.flo - self.fhi)
-        lo, hi = self.lo, self.hi
-        path = []
-        for _ in range(min(_PATH_LEN, _MAX_HALVINGS - self.halvings)):
-            m = 0.5 * (lo + hi)
-            if not lo < m < hi:
-                break
-            path.append(m)
-            if m < root:
-                lo = m
-            else:
-                hi = m
-        return path
-
-    def walk(self, path, fs):
-        # bisection's steps on f(path), while the path is still bisection's
-        for m, f in zip(path, fs):
-            if m != 0.5 * (self.lo + self.hi):
-                break
-            if f > 0:
-                self.lo, self.flo = m, f
-            else:
-                self.hi, self.fhi = m, f
-            self.halvings += 1
+def _excess(alpha, tol):
+    # (f(0), f(1)) of the end curve min(N_Ap, N_Bp) - tol and of the middle
+    # curve N_Bs - tol, from one model call and one eigvalsh
+    rho = thermal_state_model(CHAIN, np.array([0.0, 1.0]), alpha)
+    negs = _negativity_of_pt(np.stack([partial_transpose(rho, c) for c in _CUTS]))
+    return [(np.minimum(negs[0], negs[2]) - tol).tolist(), (negs[1] - tol).tolist()]

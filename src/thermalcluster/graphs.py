@@ -7,12 +7,13 @@ equals (|+0+> + |-1->)/sqrt(2) up to global phase.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
-from .linalg import I2, X, Z, ConfigError, tensor_all
+from .linalg import I2, X, Z, ConfigError, _check_integer, _is_real, tensor_all
 
 __all__ = [
     "CHAIN",
@@ -35,16 +36,19 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        _check_integer("n_vertices", self.n_vertices)
         if self.n_vertices < 1:
             raise ConfigError("graph needs at least one vertex")
-        norm = set()
-        for e in self.edges:
-            i, j = sorted(e)
+        try:
+            pairs = [sorted(map(operator.index, e)) for e in self.edges]
+            norm = {(i, j) for i, j in pairs}
+        except (TypeError, ValueError):
+            raise ConfigError(f"edges must be pairs of vertex indices, got {self.edges!r}") from None
+        for i, j in norm:
             if i == j:
                 raise ConfigError(f"self-loop at vertex {i}")
             if not (0 <= i and j < self.n_vertices):
                 raise ConfigError(f"edge {(i, j)} out of range for n={self.n_vertices}")
-            norm.add((i, j))
         object.__setattr__(self, "edges", frozenset(norm))
 
     def neighbors(self, i):
@@ -53,6 +57,7 @@ class Graph:
 
 def linear_graph(n):
     """Path graph 0-1-...-(n-1), the 1D cluster geometry."""
+    _check_integer("n", n)
     if n < 2:
         raise ConfigError("linear graph needs n >= 2")
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
@@ -134,7 +139,7 @@ def parent_hamiltonian(g, gap=1.0):
     unique ground state at energy -n*gap/2. Graphs of more than
     MAX_DENSE_VERTICES vertices are refused before anything is allocated.
     """
-    if not 0 < gap < np.inf:
+    if not (_is_real(gap) and 0 < gap < np.inf):
         raise ConfigError("gap must be positive and finite")
     n = g.n_vertices
     if n > MAX_DENSE_VERTICES:

@@ -61,6 +61,12 @@ def _check_integer(name, value):
         raise ConfigError(f"{name} must be an integer")
 
 
+def _is_real(v):
+    # Python counts a bool as an int, but no argument takes one as a number.
+    # float is tested first: the ABC check alone takes about 0.5 us a float
+    return isinstance(v, (float, numbers.Real)) and not isinstance(v, bool)
+
+
 def _check_nonnegative(name, value):
     _check_integer(name, value)
     if value < 0:

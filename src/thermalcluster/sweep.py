@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import DEFAULT_TOL, classify_values, negativity
 from .graphs import CHAIN, format_graph
-from .linalg import ConfigError, _check_integer, fidelity
+from .linalg import ConfigError, _check_integer, _is_real, fidelity
 from .mbqc import _preparation_operator
 from .thermal import gibbs_state, p_from_temperature, temperature_from_p, thermal_state_model
 from .tomography import _mle_batch, _resample, simulate_counts, standard_settings
@@ -64,11 +63,6 @@ CSV_COLUMNS = ",".join(col for col, _ in _COLUMNS)
 # spacing between per-point seed blocks; point i uses seeds seed + i * stride
 # up to seed + i * stride + mc_samples, so validate() requires mc_samples < stride
 _SEED_STRIDE = 1_000_003
-
-
-def _is_real(v):
-    # Python counts a bool as an int, but no field takes one as a number
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

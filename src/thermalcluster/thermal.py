@@ -17,7 +17,7 @@ import functools
 import numpy as np
 
 from .graphs import build_graph_state, parent_hamiltonian
-from .linalg import ConfigError
+from .linalg import ConfigError, _is_real
 
 __all__ = [
     "p_from_temperature",
@@ -29,9 +29,9 @@ __all__ = [
 
 def p_from_temperature(t_over_delta):
     """Dephasing strength p = 2/(1 + e^(Delta/T)); p(0) = 0, p(inf) = 1."""
+    if not (_is_real(t_over_delta) and t_over_delta >= 0):
+        raise ConfigError("temperature must be a nonnegative number")
     t = float(t_over_delta)
-    if not t >= 0:
-        raise ConfigError("temperature must be nonnegative")
     if t == 0:
         return 0.0
     if np.isinf(t):
@@ -43,9 +43,9 @@ def p_from_temperature(t_over_delta):
 
 def temperature_from_p(p):
     """Inverse map T/Delta = 1/(ln(2-p) - ln p); 0 at p=0, +inf at p=1."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
+    if not (_is_real(p) and 0.0 <= p <= 1.0):
         raise ConfigError("p must lie in [0, 1]")
+    p = float(p)
     if p == 0.0:
         return 0.0
     if p == 1.0:
@@ -65,8 +65,11 @@ def gibbs_state(g, t_over_delta):
     temperature taking its own branch (ground projector, T = inf, or the
     exponential).
     """
-    t = np.asarray(t_over_delta, dtype=float)
-    p = np.array([p_from_temperature(x) for x in t.ravel()]).reshape(t.shape)
+    try:
+        t = np.asarray(t_over_delta, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("temperatures must be numbers") from None
+    p = np.array([p_from_temperature(x) for x in t.ravel().tolist()]).reshape(t.shape)
     dim = 2**g.n_vertices
     out = np.empty(t.shape + (dim, dim), dtype=complex)
     # where e^(-1/T) underflows (T below about 1/745) the state is the ground
@@ -111,11 +114,14 @@ def thermal_state_model(g, p, alpha=np.pi):
     alpha = 0.84*pi models an imperfect entangling gate of the kind photonic
     implementations are fit by.
     """
-    p = np.asarray(p, dtype=float)
+    try:
+        p = np.asarray(p, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("p must be numbers") from None
     if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ConfigError("p must lie in [0, 1]")
-    if not -np.inf < alpha < np.inf:
-        raise ConfigError("alpha must be finite")
+    if not (_is_real(alpha) and -np.inf < alpha < np.inf):
+        raise ConfigError("alpha must be a finite real number")
     pure, factor_index = _pure_state_and_factor_index(g)
     # one qubit's factor [[1, c], [conj(c), 1]], flattened: entry 2 b_i + b_j;
     # b_i = 0, b_j = 1 gives e^(-i*alpha)

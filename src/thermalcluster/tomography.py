@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import KETS, ConfigError, _check_integer, _check_nonnegative, _states
+from .linalg import KETS, ConfigError, _check_integer, _check_nonnegative, _is_real, _states
 
 __all__ = [
     "STANDARD_ALPHABET",
@@ -190,7 +190,9 @@ class CountRecord:
 
     Counts are stored as floats: the Poisson sampler yields integers, but
     exact mean counts (noiseless diagnostics) are legitimate inputs to the
-    reconstructors as well.
+    reconstructors as well. The flux is stored as a Python float and the
+    seed as None or a Python int, so numpy scalars round-trip through the
+    text form.
     """
 
     settings: tuple
@@ -217,12 +219,12 @@ class CountRecord:
             )
         if not np.all((counts >= 0) & (counts < np.inf)):
             raise ConfigError("counts must be nonnegative and finite")
-        try:
-            flux_ok = 0 < self.flux < np.inf
-        except (TypeError, ValueError):
-            flux_ok = False
-        if not flux_ok:
+        if not (_is_real(self.flux) and 0 < self.flux < np.inf):
             raise ConfigError("flux must be positive and finite")
+        object.__setattr__(self, "flux", float(self.flux))
+        if self.seed is not None:
+            _check_nonnegative("seed", self.seed)
+            object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n_qubits(self):
@@ -289,7 +291,7 @@ _MAX_FLUX = 1e18
 
 def simulate_counts(rho, settings, flux, seed):
     """Draw one Poisson count per setting with mean flux * Tr(rho * Pi)."""
-    if not 0 < flux <= _MAX_FLUX:
+    if not (_is_real(flux) and 0 < flux <= _MAX_FLUX):
         raise ConfigError(f"flux must be positive and at most {_MAX_FLUX:g}")
     _check_nonnegative("seed", seed)
     means = np.clip(expected_probabilities(rho, settings), 0.0, None) * flux

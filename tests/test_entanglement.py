@@ -1,5 +1,6 @@
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_end_qubit_symmetry():
 
 
 def test_transition_points_ideal_regression():
-    # frozen after first derivation; the bisection is deterministic
+    # frozen after first derivation; the roots are closed forms
     tp = transition_points(np.pi)
     assert abs(tp.p_free_to_bound - 0.585786436213) < 1e-6
     assert abs(tp.p_bound_to_ppt - 0.704402255402) < 1e-6
@@ -133,8 +134,8 @@ def test_transition_points_require_bracketing():
 
 
 def _bisect_decreasing(f):
-    # one curve at a time, 80 halvings: plain bisection, whose every bit
-    # transition_points keeps at alpha = pi
+    # one curve at a time, 80 halvings: plain bisection, the oracle the
+    # closed-form roots are compared with
     lo, hi = 0.0, 1.0
     flo, fhi = f(lo), f(hi)
     if flo <= 0 or fhi > 0:
@@ -165,34 +166,13 @@ def _sequential_transition_points(alpha, tol):
     )
 
 
-def _mapped_from_pi(alpha, at_pi):
-    # the alpha = pi roots r carried to alpha: |c|^2 = 1 - s p (2 - p) with
-    # s = sin^2(alpha/2) equals (1 - r)^2 at p = y / (1 + sqrt(1 - y)),
-    # y = r (2 - r) / s
-    s = math.sin(0.5 * alpha) ** 2
-    ps = []
-    for r in (at_pi.p_free_to_bound, at_pi.p_bound_to_ppt):
-        y = min(1.0, r * (2.0 - r) / s)
-        ps.append(y / (1.0 + math.sqrt(1.0 - y)))
-    return TransitionPoints(*ps, *map(temperature_from_p, ps))
-
-
-def _hex(tp):
-    return [float(v).hex() for v in vars(tp).values()]
-
-
-# at tol 0.1 the two roots lie on either side of p = 1/2, so the two
-# curves run out of representable midpoints in different rounds; at tol 0
-# and 0.3 regula falsi mispredicts the most bisection steps
 @pytest.mark.parametrize("tol", [0.0, 0.02, 1e-3, 1e-9, 0.1, 0.3])
 @pytest.mark.parametrize("a", [0.8, 0.84, 0.9, 1.0])
 def test_transition_points_match_sequential_bisection(a, tol):
-    # at pi every field is sequential bisection's to the bit; at another
-    # angle it is the closed-form map of those pi roots, and within 1e-14
-    # of sequential bisection at that angle. At tol = 0 bisection at the
-    # angle ends where rounding noise in a negativity clamped to 0 decides,
-    # so there the reference is its tol = 1e-15 root. Where the reference
-    # finds no bracket, transition_points fails the same way
+    # every root lies within 1e-14 of sequential bisection at its angle. At
+    # tol = 0 bisection ends where rounding noise in a negativity clamped
+    # to 0 decides, so there the reference is its tol = 1e-15 root. Where
+    # the reference finds no bracket, transition_points fails the same way
     alpha = a * np.pi
     try:
         ref = _sequential_transition_points(alpha, tol)
@@ -202,15 +182,52 @@ def test_transition_points_match_sequential_bisection(a, tol):
         assert str(got.value) == str(err)
         return
     got = transition_points(alpha, tol)
-    if a == 1.0:
-        assert got == ref
-        assert _hex(got) == _hex(ref)
-    else:
-        assert _hex(got) == _hex(_mapped_from_pi(alpha, _sequential_transition_points(np.pi, tol)))
     if tol == 0.0:
         ref = _sequential_transition_points(alpha, 1e-15)
     assert abs(got.p_free_to_bound - ref.p_free_to_bound) <= 1e-14
     assert abs(got.p_bound_to_ppt - ref.p_bound_to_ppt) <= 1e-14
+
+
+def _end_curve(p):
+    # min(N_Ap, N_Bp) at alpha = pi before the clamp at 0
+    return (p * p - 4 * p + 2) / 4
+
+
+def _mid_curve(p):
+    # N_Bs at alpha = pi before the clamp at 0
+    return (4 - 8 * p + 4 * p * p - p * p * p) / 8
+
+
+def test_pi_curves_are_the_closed_form_polynomials():
+    ps = np.linspace(0.0, 1.0, 101)
+    rho = thermal_state_model(CHAIN, ps, np.pi)
+    curves = {(0,): _end_curve, (1,): _mid_curve, (2,): _end_curve}
+    for cut, curve in curves.items():
+        assert np.abs(negativity(rho, cut) - np.maximum(0.0, curve(ps))).max() <= 1e-15, cut
+
+
+def _steps(x, n):
+    # n ulps above x (below for n < 0)
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-12, 1e-9, 1e-6, *(round(0.01 * k, 2) for k in range(50))])
+def test_pi_roots_lie_within_3_ulps_of_the_exact_sign_change(tol):
+    # each curve minus tol, evaluated exactly in rationals, is positive 3
+    # ulps below its root and not positive 3 ulps above it
+    tp = transition_points(math.pi, tol)
+    exact_tol = Fraction(tol)
+    for root, curve in ((tp.p_free_to_bound, _end_curve), (tp.p_bound_to_ppt, _mid_curve)):
+        assert curve(Fraction(_steps(root, -3))) > exact_tol, (tol, root)
+        assert curve(Fraction(_steps(root, 3))) <= exact_tol, (tol, root)
+
+
+def test_pi_free_to_bound_temperature_at_tol_0_is_one_over_asinh_1():
+    # p = 2 - sqrt(2), so (2 - p) / p = 1 + sqrt(2) and T = 1 / ln(1 + sqrt(2))
+    t = transition_points(math.pi, tol=0.0).t_free_to_bound
+    assert abs(t - 1.0 / math.asinh(1.0)) <= 2 * math.ulp(t)
 
 
 def test_phase_gate_channel_is_dephasing_up_to_local_phase_gates():

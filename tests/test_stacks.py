@@ -121,16 +121,11 @@ def test_sweep_preparation_fidelity_is_the_public_one_to_the_bit():
 
 
 def test_transition_points_builds_both_midpoints_in_one_call(monkeypatch):
-    # one call checks both brackets, then each round of the cold search at
-    # pi builds both curves' predicted midpoints in one call; lockstep
-    # bisection took 55 calls at both tolerances, one curve at a time
-    # 2 * (2 + 80) = 164. A warm call only checks the brackets at its angle
+    # the roots are closed forms at pi carried to the angle, so every call,
+    # first or repeated, builds only the states at p = 0 and 1 that check
+    # both curves cross there, in one model call
     calls = _spy(monkeypatch, entanglement, "thermal_state_model")
-    entanglement._pi_roots.cache_clear()
-    for tol, bound in ((0.02, 16), (1e-9, 24)):
-        calls.clear()
-        transition_points(0.84 * np.pi, tol)
-        assert 0 < len(calls) <= bound, tol
+    for tol in (0.02, 1e-9, 0.02):
         calls.clear()
         transition_points(0.84 * np.pi, tol)
         assert len(calls) == 1, tol

@@ -136,6 +136,12 @@ def mle(settings=(("z0",),), max_iter=200):
     pytest.param(record(settings=5), id="record_settings_number"),
     pytest.param(record(flux="a"), id="record_flux_string"),
     pytest.param(record(counts=["a"]), id="record_counts_string"),
+    pytest.param(counts(flux="a"), id="simulate_flux_string"),
+    # a seed is None or a nonnegative integer
+    pytest.param(record(seed="a"), id="record_seed_string"),
+    pytest.param(record(seed=-1), id="record_seed_negative"),
+    pytest.param(record(seed=2.5), id="record_seed_float"),
+    pytest.param(record(seed=True), id="record_seed_bool"),
     # settings: an unknown label, a string in place of a label tuple, none
     pytest.param(counts(settings=[("q1", "z0", "z0")]), id="simulate_settings_label"),
     pytest.param(counts(settings=["z0z0z0"]), id="simulate_settings_string"),
@@ -162,6 +168,13 @@ def mle(settings=(("z0",),), max_iter=200):
     pytest.param(lambda: Graph(3, frozenset({(0, 0)})), id="graph"),
     pytest.param(lambda: parse_graph("x; 0-1"), id="parse_graph"),
     pytest.param(lambda: linear_graph(1), id="linear_graph"),
+    # a vertex count that is not an integer, edges that are not index pairs
+    pytest.param(lambda: linear_graph("3"), id="linear_graph_string"),
+    pytest.param(lambda: linear_graph(2.5), id="linear_graph_float"),
+    pytest.param(lambda: Graph("3"), id="graph_vertices_string"),
+    pytest.param(lambda: Graph(3, frozenset({(0,)})), id="graph_edge_single"),
+    pytest.param(lambda: Graph(3, frozenset({("a", "b")})), id="graph_edge_strings"),
+    pytest.param(lambda: parent_hamiltonian(CHAIN, "a"), id="gap_string"),
     pytest.param(lambda: parent_hamiltonian(CHAIN, gap=float("inf")), id="gap_infinite"),
     pytest.param(lambda: parent_hamiltonian(CHAIN, gap=0.0), id="gap_zero"),
     # one vertex over the cap; refused before any allocation
@@ -172,6 +185,17 @@ def mle(settings=(("z0",),), max_iter=200):
     pytest.param(lambda: standard_settings(2.5), id="standard_settings_float"),
     pytest.param(lambda: standard_settings(True), id="standard_settings_bool"),
     pytest.param(lambda: transition_points(np.pi, tol=-1.0), id="transition_tol"),
+    # scalars of the regime path that are not real numbers
+    pytest.param(lambda: transition_points("a"), id="transition_alpha_string"),
+    pytest.param(lambda: transition_points(1j), id="transition_alpha_complex"),
+    pytest.param(lambda: transition_points(np.pi, tol="x"), id="transition_tol_string"),
+    pytest.param(lambda: transition_points(np.pi, tol=None), id="transition_tol_none"),
+    pytest.param(lambda: thermal_state_model(CHAIN, "a"), id="model_p_string"),
+    pytest.param(lambda: thermal_state_model(CHAIN, 0.5, "a"), id="model_alpha_string"),
+    pytest.param(lambda: p_from_temperature("a"), id="p_from_temperature_string"),
+    pytest.param(lambda: temperature_from_p("a"), id="temperature_from_p_string"),
+    pytest.param(lambda: temperature_from_p(None), id="temperature_from_p_none"),
+    pytest.param(lambda: gibbs_state(CHAIN, "a"), id="gibbs_state_string"),
     pytest.param(lambda: haar_average_fidelity(np.eye(8) / 8, 0, seed=0), id="haar_samples"),
     pytest.param(lambda: haar_average_fidelity(np.eye(8) / 8, 2.5, seed=0), id="haar_samples_float"),
     pytest.param(lambda: haar_average_fidelity(np.eye(8) / 8, 10, seed=-1), id="haar_seed"),

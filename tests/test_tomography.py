@@ -109,6 +109,17 @@ def test_count_record_text_round_trip():
     assert back.flux == rec.flux and back.seed == rec.seed
 
 
+def test_count_record_text_round_trips_numpy_scalars():
+    # flux and seed are stored as Python numbers, so their reprs parse back
+    rec = CountRecord(
+        settings=standard_settings(1), counts=np.ones(4), flux=np.float64(2.0), seed=np.int64(5)
+    )
+    assert type(rec.flux) is float and type(rec.seed) is int
+    back = CountRecord.from_text(rec.to_text())
+    assert (back.flux, back.seed) == (2.0, 5)
+    assert back.to_text() == rec.to_text()
+
+
 def test_count_record_text_float_counts_and_none_seed():
     rec = CountRecord(
         settings=standard_settings(1),
