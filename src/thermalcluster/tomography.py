@@ -128,14 +128,37 @@ def _check_settings(settings):
         raise ConfigError(f"setting labels must be among {sorted(KETS)}")
 
 
+def _product_inverse(settings):
+    # lin and rank (see _LinearMaps) of the product settings over one alphabet
+    # (the standard and MUB families), or None for other settings. There P is
+    # the n-fold Kronecker power of the alphabet's (m, 4) map P1 up to a
+    # column order, (i1 j1 i2 j2 ...) for (i1 i2 ... j1 j2 ...), so its
+    # pseudo-inverse is the Kronecker power of pinv(P1) in that order and its
+    # rank is rank(P1)^n. pinv(P1) comes from eigh of the 4 x 4 Gram matrix,
+    # whose eigenvalues are 0 or of order 1 for any alphabet of KETS; no SVD
+    # of the (S, d*d) matrix runs, nor its LAPACK workspace
+    n = len(settings[0])
+    alphabet = tuple(dict.fromkeys(s[0] for s in settings))
+    if settings != tuple(itertools.product(alphabet, repeat=n)):
+        return None
+    a = projector_stack([(lab,) for lab in alphabet]).reshape(len(alphabet), 4).conj()
+    w, v = np.linalg.eigh(a.conj().T @ a)
+    keep = w > 1e-9 * w[-1]
+    lin1 = ((v / np.where(keep, w, np.inf)) @ v.conj().T @ a.conj().T).T
+    lin = functools.reduce(np.kron, [lin1] * n).reshape((len(settings),) + (2,) * (2 * n))
+    lin = lin.transpose(0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
+    return np.ascontiguousarray(lin).reshape(len(settings), 4**n), int(keep.sum()) ** n
+
+
 @functools.lru_cache(maxsize=8)
 def _cached_maps(settings):
     _check_settings(settings)
     pi = projector_stack(settings)
     s, d = pi.shape[0], pi.shape[1]
     p = pi.reshape(s, d * d)
-    lin = np.ascontiguousarray(np.linalg.pinv(p.conj()).T)
-    rank = int(np.linalg.matrix_rank(p))
+    lin, rank = _product_inverse(settings) or (
+        np.ascontiguousarray(np.linalg.pinv(p.conj()).T), int(np.linalg.matrix_rank(p))
+    )
     ell = np.trace(lin.reshape(s, d, d), axis1=1, axis2=2).real
     zset = ell > 0.5
     zset.flags.writeable = False

@@ -403,6 +403,26 @@ def test_trace_functional_marks_the_z_settings():
         assert _cached_maps(tuple(mub_settings(n))).zset is None
 
 
+def test_product_maps_match_the_full_pseudo_inverse():
+    # product settings over one alphabet build lin and rank from the
+    # single-qubit factor; the 64 x 64 pinv and matrix_rank are the reference,
+    # and the least-squares map agrees with them at rounding level, rank
+    # deficient alphabets included. Other settings take the full route
+    families = [("z0", "z1", "x+", "y+"), ("z0", "z1", "x+", "x-", "y+", "y-"), ("z0", "x+")]
+    for alphabet, n in itertools.product(families, (1, 2, 3)):
+        settings = tuple(itertools.product(alphabet, repeat=n))
+        p = projector_stack(settings).reshape(len(settings), -1)
+        maps = _cached_maps(settings)
+        assert maps.rank == np.linalg.matrix_rank(p)
+        ref = np.ascontiguousarray(np.linalg.pinv(p.conj()).T).view(np.float64)
+        assert np.abs(maps.lin - ref).max() < 1e-14, (alphabet, n)
+        assert not maps.lin.flags.writeable
+    mixed = (("z0", "x+"), ("x+", "z0"), ("y+", "y-"), ("z1", "z1"))
+    p = projector_stack(mixed).reshape(4, -1)
+    ref = np.ascontiguousarray(np.linalg.pinv(p.conj()).T).view(np.float64)
+    assert np.array_equal(_cached_maps(mixed).lin, ref)
+
+
 def barrier_solve(rec, max_iter=200):
     # the same counts solved from I/d on the barrier path, skipping the start
     maps = _linear_maps(rec.settings)
