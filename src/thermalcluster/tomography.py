@@ -5,21 +5,37 @@ projector setting the detector registers a Poisson-distributed number of
 coincidences with mean flux * Tr(rho * Pi). Reconstruction is offered both
 as least-squares linear inversion (with eigenvalue clipping to the physical
 set) and as Poisson maximum likelihood. The likelihood is concave in rho,
-so the MLE is found by Newton's method on a log-det barrier path (Boyd and
-Vandenberghe, Convex Optimization, 2004, ch. 11) and certified by the
-Frank-Wolfe gap, an upper bound on how far the returned log-likelihood lies
-below the maximum (cf. Glancy, Knill and Girard, NJP 14, 095017 (2012)).
-On the standard settings the map from rho to the probabilities q is square
-and invertible, and the settings in {z0, z1}^n sum to I, so tr rho is the
-sum of their q. The maximum of log L over unit-trace Hermitian matrices is
-then closed-form: q_s = c_s / N_Z on those settings (N_Z their total count)
-and c_s / flux elsewhere. Where it is positive definite and every count is
-positive it is the MLE, and the gap certifies it with 0 Newton steps. On
-other informationally complete settings, where the least-squares estimate
-is an interior state, the maximum usually lies inside the state set too,
-and the solver starts there with plain Newton steps on log L, which
-converge quadratically (Boyd and Vandenberghe, sec. 9.5); a record whose
-Newton step is cut short goes back to the barrier path.
+so the MLE is found by Newton's method and certified by the Frank-Wolfe
+gap, an upper bound on how far the returned log-likelihood lies below the
+maximum (cf. Glancy, Knill and Girard, NJP 14, 095017 (2012)). Each record
+takes one of four starts:
+
+- The closed form. On the standard settings the map from rho to the
+  probabilities q is square and invertible, and the settings in
+  {z0, z1}^n sum to I, so tr rho is the sum of their q. The maximum of
+  log L over unit-trace Hermitian matrices is then closed-form:
+  q_s = c_s / N_Z on those settings (N_Z their total count) and c_s / flux
+  elsewhere. Where it is positive definite and every count is positive it
+  is the MLE, and the gap certifies it with 0 Newton steps.
+- Interior Newton. On other informationally complete settings, where the
+  least-squares estimate is an interior state, the maximum usually lies
+  inside the state set too, and the solver starts there with plain Newton
+  steps on log L, which converge quadratically (Boyd and Vandenberghe,
+  Convex Optimization, 2004, sec. 9.5).
+- Factored. Where that estimate (the closed form on the standard
+  settings) has k positive eigenvalues and one <= 0, and every count is
+  positive, the maximum lies on the boundary of the state set. The solver
+  writes rho = A A^H / tr(A A^H) with A a d x k matrix, the T^H T form of
+  photonic MLE (James, Kwiat, Munro and White, PRA 64, 052312 (2001)) cut
+  to rank k as in Burer and Monteiro (Math. Program. 95, 329 (2003)), and
+  takes Newton steps in A from the estimate's top k eigenvectors scaled by
+  sqrt(lambda). k grows where the gradient off the face calls for it, and
+  shrinks where a column of A does.
+- The barrier path. Records with a zero count, on settings that are not
+  informationally complete, or whose interior or factored start does not
+  converge, take Newton steps on a log-det barrier path from I/d (Boyd and
+  Vandenberghe, ch. 11).
+
 Error bars come from Monte Carlo resampling of the counts, the standard
 procedure for coincidence data, with every resample reconstructed by
 maximum likelihood.
@@ -31,13 +47,13 @@ gradient of the likelihood is sum_s w_s Pi_s = (w P) reshaped.
 
 The solver works on a stack of records that share one settings tuple (a
 sweep's records and their Monte Carlo resamples); one record is a stack of
-one. The stack is cut into chunks, the records with an interior start
-first, so that those certified at their start do not wait on the barrier
-path's rounds. Every unfinished record of a chunk takes a Newton step in
-each round, with one batched ``eigh`` and ``solve`` and two batched
-``eigvalsh`` (the certificate's and the line search's) for the whole
-chunk. Every product is taken per record, never across records, so a
-record's result is the same bit for bit alone or in any batch.
+one. The stack is cut into chunks, grouped by start (closed form or
+interior, factored, barrier), so that records certified at their start do
+not wait on other records' rounds. Every unfinished record of a chunk takes
+a Newton step in each round, with one set of batched ``eigh``, ``solve``
+and ``eigvalsh`` calls for each kind of step in the chunk. Every product is
+taken per record, never across records, so a record's result is the same
+bit for bit alone or in any batch.
 
 All randomness flows from explicit integer seeds; nothing reads ambient
 entropy, so every pipeline built on this module is reproducible bit for bit.
@@ -103,6 +119,7 @@ class _LinearMaps:
     # sum_s w_s Pi_s. lin: the transposed pseudo-inverse of conj(P) in the
     # same real view, so b @ lin is the least-squares solution of
     # Tr(rho Pi_s) = b_s. kets: (S, d), row s the ket v_s of Pi_s = v_s v_s^H.
+    # pairs: the index arrays (i, j) of the pairs i < j of a d x d matrix.
     # diag: (d, d - 1), columns the diagonals of the orthonormal traceless
     # diagonal generators (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)).
     # zset: the trace functional, tr rho = sum_s l_s q_s with l_s the real
@@ -115,6 +132,7 @@ class _LinearMaps:
     pf: np.ndarray
     lin: np.ndarray
     kets: np.ndarray
+    pairs: tuple
     diag: np.ndarray
     zset: np.ndarray | None
 
@@ -168,9 +186,12 @@ def _cached_maps(settings):
     kets = np.array([_setting_ket(st) for st in settings])
     k = np.arange(1, d)
     diag = (np.triu(np.ones((d, d - 1))) - np.eye(d, d - 1, -1) * k) / np.sqrt(k * (k + 1))
-    for arr in (pf, lin, kets, diag):
+    pairs = np.triu_indices(d, 1)
+    for arr in (pf, lin, kets, diag, *pairs):
         arr.flags.writeable = False
-    return _LinearMaps(d=d, rank=rank, pf=pf, lin=lin, kets=kets, diag=diag, zset=zset)
+    return _LinearMaps(
+        d=d, rank=rank, pf=pf, lin=lin, kets=kets, pairs=pairs, diag=diag, zset=zset
+    )
 
 
 def _linear_maps(settings):
@@ -406,9 +427,9 @@ def _fw_gap(pf, d, c, flux, q):
     return np.maximum(0.0, lam_max - (n_total - mean)) + (q.shape[-1] + d * d) * _EPS * terms
 
 
-def _result(rho, q, gap, rec, ls, maps, iterations, converged):
+def _result(rho, q, gap, rec, ls, maps, iterations, converged, project=True):
     ll = _log_likelihood(q, rec.counts, rec.flux)
-    if maps.rank == maps.d * maps.d and rec.counts.any():
+    if project and maps.rank == maps.d * maps.d and rec.counts.any():
         # projected linear inversion, if the solver ended below it; gap still
         # bounds max log L - ll, as ll only grows
         lin = _project_to_states(ls)
@@ -455,44 +476,73 @@ _BOUNDARY = 0.01
 _MU_CUT = 30.0
 # records solved together; the Newton system takes about 150 KB per record
 _BATCH = 16
+# Newton steps a factored record takes before it restarts on the barrier path
+_FACTORED_STEPS = 45
 
 
 def mle_reconstruct(rec, max_iter=200):
     """Poisson maximum-likelihood reconstruction with an optimality certificate.
 
     Maximizes log L(rho) = sum_s c_s log(flux q_s) - flux sum_s q_s over
-    density matrices by Newton's method on the log-det barrier path (Boyd
-    and Vandenberghe, Convex Optimization, 2004, ch. 11). Each Newton step
-    maximizes log L(rho) + mu log det rho over rho + sum_k x_k B~_k, where
-    the B~_k are an orthonormal basis of the traceless Hermitian matrices
-    taken in the eigenbasis of rho, so the trace stays 1 and the barrier's
-    Hessian has a closed form. The barrier's Hessian is weighted by the mu
-    the iterate was centred for, the primal-dual scaling of Helmberg, Rendl,
-    Vanderbei and Wolkowicz (SIAM J. Optim. 6, 342 (1996)), so that the
-    eigenvalues headed for 0 follow a cut of mu in one full step. The path
-    starts at I/d with mu = N/d^2, N the total count. A record whose settings
-    are informationally complete, whose counts are all positive and whose
-    interior estimate is positive definite starts at that estimate with
-    mu = 0 instead, taking plain Newton steps on log L. On the standard
-    settings (S = d^2, with a trace functional that is 1 on the settings in
-    {z0, z1}^n and 0 elsewhere) that estimate is the closed-form maximum of
-    log L over unit-trace Hermitian matrices, rho = P^-1 q with
-    q_s = c_s / N_Z on {z0, z1}^n, N_Z their total count, and c_s / flux
-    elsewhere; its gradient is (N_Z - flux) I, so the gap certifies it with
-    0 steps. Elsewhere it is the unprojected least-squares estimate; if its
-    line search takes a step shorter than 1, the maximum may lie on the
-    boundary, and it restarts at I/d with mu = N/d^2 (the steps taken count
-    toward ``iterations`` and ``max_iter``). A backtracking line
-    search asks for a quarter of the predicted ascent, computed from log1p of
-    the relative probability changes and of the eigenvalues nu of the step
-    whitened by rho, so that it stays exact at high flux, where |log L| ~
-    1e8, and needs no eigenvalues of its trial states. It keeps rho positive
-    definite with a margin: 1 + t nu_min >= 0.01, the fraction-to-the-boundary
-    rule. mu falls thirtyfold whenever the squared Newton decrement is below
-    mu/2, that is near the maximum of the barrier problem, which lies at most
-    d mu below max log L. If projected linear inversion (on informationally
-    complete settings) has a higher likelihood than the last iterate, it is
-    returned instead.
+    density matrices by Newton's method from one of four starts, chosen
+    from the record's own counts. N is the total count.
+
+    - Closed form: on the standard settings (S = d^2, with a trace
+      functional that is 1 on the settings in {z0, z1}^n and 0 elsewhere)
+      the maximum of log L over unit-trace Hermitian matrices is
+      rho = P^-1 q with q_s = c_s / N_Z on {z0, z1}^n, N_Z their total
+      count, and c_s / flux elsewhere; its gradient is (N_Z - flux) I. Where
+      every count is positive and it is positive definite, it is the MLE,
+      and the gap certifies it with 0 steps.
+    - Interior Newton: on other informationally complete settings, a record
+      whose counts are all positive and whose unprojected least-squares
+      estimate is positive definite starts there, taking plain Newton steps
+      on log L. If its line search takes a step shorter than 1, the maximum
+      may lie on the boundary, and it restarts on the barrier path.
+    - Factored: where every count is positive but that estimate (the closed
+      form on the standard settings) has k positive eigenvalues and one
+      <= 0, the record starts at its positive part,
+      rho = A A^H / tr(A A^H) with A the top k eigenvectors scaled by
+      sqrt(lambda), and takes Newton steps in A (James, Kwiat, Munro and
+      White, PRA 64, 052312 (2001); Burer and Monteiro, Math. Program. 95,
+      329 (2003)). The trapezoidal form of A, lower triangular in the
+      eigenbasis with a real diagonal orthogonal to sqrt(lambda), removes
+      the U(k) gauge and the scale, which leaves 2 d k - k^2 - 1 real
+      coordinates. The Newton system uses the analytic Hessian of log L in
+      A with the positive part of tau I - G, G the likelihood gradient and
+      tau = Tr(rho G), so that it is positive definite. Where the top
+      eigenvalue of G off the face exceeds tau by more than the Newton step
+      can gain, the record takes a mixing step toward that eigenvector and k
+      grows by 1; where the last column of A has shrunk below 1/100 of the
+      one before and adding it back would not ascend, it is dropped and k
+      falls by 1. A record not certified within 45 steps restarts on the
+      barrier path.
+    - Barrier path: records with a zero count or on settings that are not
+      informationally complete start at I/d with mu = N/d^2 and take Newton
+      steps on log L(rho) + mu log det rho (Boyd and Vandenberghe, Convex
+      Optimization, 2004, ch. 11) over rho + sum_k x_k B~_k, where the B~_k
+      are an orthonormal basis of the traceless Hermitian matrices taken in
+      the eigenbasis of rho, so the trace stays 1 and the barrier's Hessian
+      has a closed form. The barrier's Hessian is weighted by the mu the
+      iterate was centred for, the primal-dual scaling of Helmberg, Rendl,
+      Vanderbei and Wolkowicz (SIAM J. Optim. 6, 342 (1996)), so that the
+      eigenvalues headed for 0 follow a cut of mu in one full step. mu
+      falls thirtyfold whenever the squared Newton decrement is below
+      mu/2, that is near the maximum of the barrier problem, which lies at
+      most d mu below max log L.
+
+    A restart keeps the steps already taken: they count toward
+    ``iterations`` and ``max_iter``. Every step is taken by a backtracking
+    line search that asks for a quarter of the predicted ascent, computed
+    from log1p of the relative probability changes (and, on the barrier
+    path, of the eigenvalues nu of the step whitened by rho), so that it
+    stays exact at high flux, where |log L| ~ 1e8, and needs no eigenvalues
+    of its trial states. On the barrier path it keeps rho positive definite
+    with a margin: 1 + t nu_min >= 0.01, the fraction-to-the-boundary rule.
+    If projected linear inversion (on informationally complete settings)
+    has a higher likelihood than the last iterate, it is returned instead;
+    a closed-form start still in place is the maximum over a superset of
+    the states, so there it is not tried.
 
     ``gap`` bounds the shortfall: max log L - log_likelihood <= gap. It is
     the Frank-Wolfe gap lambda_max(G) - Tr(rho G) of the likelihood gradient
@@ -513,19 +563,22 @@ def _mle_batch(recs, max_iter=200):
     """``mle_reconstruct`` on each of many records that share one settings tuple.
 
     Each record picks its start from its own counts, with one batched
-    ``eigvalsh`` of the estimates: on the standard settings the closed-form
-    maximum, elsewhere the least-squares estimate, with mu = 0 where it is
-    an interior state, I/d on the barrier path where it is not. The records
-    are solved in chunks of _BATCH, those with the interior start first (in
-    a stable order), so that a chunk of records certified at their start
-    does not wait on the barrier path's rounds. Within a chunk every
-    unfinished record takes its Newton step in the same round, so one
-    batched ``eigh`` and ``solve`` and two batched ``eigvalsh`` serve the
-    chunk, and a record leaves the round when it is certified. An interior
-    record whose full step is refused rejoins the barrier path from I/d in
-    the next round. All arithmetic is elementwise or one product per
-    record, never a product across records, so each result is bit for bit
-    the same alone, in any subset and in any order.
+    ``eigvalsh`` of the estimates (on the standard settings the closed-form
+    maximum, elsewhere the least-squares estimate): mu = 0 at the estimate
+    where it is an interior state, the factored chart at its positive part
+    where it is not, and I/d on the barrier path for records with a zero
+    count or on settings that are not informationally complete. The records
+    are solved in chunks of _BATCH, grouped by start in that order (stably),
+    so that a chunk of records certified at their start does not wait on
+    the others' rounds. Within a chunk every unfinished record takes its
+    Newton step in the same round, so one set of batched ``eigh``,
+    ``solve`` and ``eigvalsh`` calls serves each kind of step in the chunk,
+    and a record leaves the round when it is certified. An interior record
+    whose full step is refused, and a factored record not certified after
+    _FACTORED_STEPS steps, rejoin the barrier path from I/d in the next
+    round. All arithmetic is elementwise or one product per record, never a
+    product across records, so each result is bit for bit the same alone,
+    in any subset and in any order.
     """
     if not recs:
         return []
@@ -536,29 +589,49 @@ def _mle_batch(recs, max_iter=200):
     counts = np.array([r.counts for r in recs])
     flux = np.array([r.flux for r in recs])
     ls = _least_squares(maps, counts, flux)
-    # the interior start (see mle_reconstruct), tested per record; q_s > 0
-    # holds for a positive definite estimate, and is tested too in case
-    # rounding breaks it
+    # the starts (see mle_reconstruct), tested per record; q_s > 0 holds for
+    # a positive definite estimate, and is tested too in case rounding
+    # breaks it, and for the positive part, which can be orthogonal to a
+    # setting
     est = ls if maps.zset is None else _closed_form(maps, counts, flux)
+    complete = (maps.rank == d * d) & np.all(counts > 0, axis=-1)
     interior = (
-        (maps.rank == d * d)
-        & np.all(counts > 0, axis=-1)
+        complete
         & (np.linalg.eigvalsh(est)[:, 0] > 0.0)
         & np.all(_probabilities(maps.pf, est) > 0.0, axis=-1)
     )
     start = np.where(interior[:, None, None], est, np.eye(d) / d)
-    order = np.argsort(~interior, kind="stable")
+    rank = np.zeros(len(recs), dtype=int)
+    cand = np.flatnonzero(complete & ~interior)
+    part, k = _positive_part(est[cand])
+    fac = np.all(_probabilities(maps.pf, part) > 0.0, axis=-1)
+    start[cand[fac]], rank[cand[fac]] = part[fac], k[fac]
+    order = np.argsort(np.where(interior, 0, np.where(rank > 0, 1, 2)), kind="stable")
+    # a closed-form start still in place is the maximum over a superset of
+    # the states, so projected linear inversion cannot beat it
+    at_max = interior & (maps.zset is not None)
     results = [None] * len(recs)
     for lo in range(0, len(recs), _BATCH):
         idx = order[lo : lo + _BATCH]
         rho, q, gap, iterations, converged = _newton(
-            maps, counts[idx], flux[idx], start[idx], interior[idx], max_iter
+            maps, counts[idx], flux[idx], start[idx], interior[idx], rank[idx], max_iter
         )
         for j, n in enumerate(idx):
             results[n] = _result(
-                rho[j], q[j], gap[j], recs[n], ls[n], maps, iterations[j], converged[j]
+                rho[j], q[j], gap[j], recs[n], ls[n], maps, iterations[j], converged[j],
+                project=not (at_max[n] and iterations[j] == 0),
             )
     return results
+
+
+def _positive_part(est):
+    # the factored start of each estimate in a stack: rho = A A^H / tr(A A^H),
+    # with A its eigenvectors of positive eigenvalue scaled by sqrt(lambda),
+    # and k, the number of those
+    lam, u = np.linalg.eigh(est)
+    lam = np.maximum(lam, 0.0)
+    rho = (u * (lam / lam.sum(axis=-1, keepdims=True))[:, None, :]) @ u.conj().mT
+    return 0.5 * (rho + rho.conj().mT), np.count_nonzero(lam, axis=-1)
 
 
 def _closed_form(maps, counts, flux):
@@ -573,16 +646,14 @@ def _closed_form(maps, counts, flux):
     return _inverse(maps, counts / np.where(maps.zset, n_z, np.asarray(flux)[..., None]))
 
 
-def _newton(maps, counts, flux, rho, interior, max_iter):
-    # the Newton rounds of _mle_batch on one chunk, from the starts rho
-    # (interior ones with mu = 0); returns the last iterates, their q, gaps,
-    # step counts and convergence. rho and interior are the chunk's own copies
-    pf, kets, g, d = maps.pf, maps.kets, maps.diag, maps.d
-    iu, ju = np.triu_indices(d, 1)
-    # coordinates 0 .. n_off - 1 are the pairs i < j, the rest the diagonal
-    n_off = 2 * iu.size
+def _newton(maps, counts, flux, rho, interior, rank, max_iter):
+    # the Newton rounds of _mle_batch on one chunk, from the starts rho:
+    # interior ones with mu = 0, factored ones (rank k > 0) in the factored
+    # chart, the rest on the barrier path; returns the last iterates, their
+    # q, gaps, step counts and convergence. rho, interior and rank are the
+    # chunk's own copies
+    pf, d = maps.pf, maps.d
     n_total = counts.sum(axis=-1)
-    mixed = np.eye(d) / d
     q = _probabilities(pf, rho)
     mu_path = n_total / (d * d)
     mu = np.where(interior, 0.0, mu_path)
@@ -591,79 +662,253 @@ def _newton(maps, counts, flux, rho, interior, max_iter):
     iterations = np.zeros(len(counts), dtype=int)
     live = np.flatnonzero(n_total > 0)
     for it in range(max_iter + 1):
-        c, fl, ql, nl = counts[live], flux[live], q[live], n_total[live]
-        gap[live] = _fw_gap(pf, d, c, fl, ql)
-        keep = gap[live] > MLE_TOL * nl
-        if it == max_iter or not keep.any():
+        gap[live] = _fw_gap(pf, d, counts[live], flux[live], q[live])
+        live = live[gap[live] > MLE_TOL * n_total[live]]
+        if it == max_iter or not live.size:
             break
-        live, c, fl, ql = live[keep], c[keep], fl[keep], ql[keep]
-        w = c / ql
         iterations[live] = it + 1
-        rl, ml, hl, k = rho[live], mu[live], mu_h[live], live.size
-
-        # Newton step of log L + mu log det rho over rho + U (sum_k x_k B_k) U^H,
-        # rho = U diag(lam) U^H, in the orthonormal traceless basis B_k:
-        # (E_ij + E_ji)/sqrt2 and i(E_ji - E_ij)/sqrt2 for the pairs i < j,
-        # then diag(g_k). There q moves by a x (_rotated_map), the barrier's
-        # gradient Tr(rho^-1 B~_k) is 0 on the pairs and g^T (1/lam) on the
-        # diagonal, and its Hessian Tr(rho^-1 B~_k rho^-1 B~_l) is diagonal,
-        # 1/(lam_i lam_j) on the pairs, but for the diagonal's block
-        # g^T diag(1/lam^2) g. The gradient takes mu, the Hessian mu_h, the mu
-        # rho was centred for (the last step's): the primal-dual scaling
-        # Z = mu_h rho^-1. After mu falls by _MU_CUT, a full step then takes an
-        # eigenvalue headed for 0 from lam to about lam / _MU_CUT
-        lam, u = np.linalg.eigh(rl)
-        a = _rotated_map(kets @ u.conj(), iu, ju, g)
-        inv_lam = 1.0 / lam
-        grad = (a.mT @ (w - fl[:, None])[..., None])[..., 0]
-        grad[:, n_off:] += ml[:, None] * (inv_lam[:, None, :] @ g)[:, 0]
-        a *= (np.sqrt(c) / ql)[..., None]
-        hess = a.mT @ a
-        pairs = np.arange(n_off)
-        hess[:, pairs, pairs] += hl[:, None] * np.tile(inv_lam[:, iu] * inv_lam[:, ju], 2)
-        hess[:, n_off:, n_off:] += hl[:, None, None] * (g.T @ (inv_lam[..., None] ** 2 * g))
-        step = np.linalg.solve(hess, grad[..., None])[..., 0]
-        decrement = np.vecdot(grad, step)
-        m = np.zeros((k, d, d), dtype=complex)
-        m[:, iu, ju] = np.sqrt(0.5) * (step[:, : iu.size] - 1j * step[:, iu.size : n_off])
-        m[:, ju, iu] = m[:, iu, ju].conj()
-        m[:, range(d), range(d)] = (g @ step[:, n_off:, None])[..., 0]
-        d_rho = u @ m @ u.conj().mT
-        d_rho = 0.5 * (d_rho + d_rho.conj().mT)
-        dq = _probabilities(pf, d_rho)
-        nu = _whitened_eigenvalues(lam, m)
-        mu_h[live] = ml
-        mu[live] = np.where(decrement < 0.5 * ml, ml / _MU_CUT, ml)
-
-        # backtracking: step t = 1, 1/2, ... until rho keeps a fraction of
-        # its distance to the boundary, 1 + t nu_min >= _BOUNDARY, and the
-        # gain reaches _ARMIJO * t * decrement. A record from the interior
-        # start that does not take t = 1 goes back to the barrier path: its
-        # maximum may lie on the boundary, where plain Newton slows down
-        todo = np.arange(k)
-        for j in range(_LINE_SEARCH_STEPS):
-            t = 0.5**j
-            r = t * dq[todo] / ql[todo]
-            ok = (1.0 + t * nu[todo, 0] >= _BOUNDARY) & np.all(r > -1.0, axis=-1)
-            i = todo[ok]
-            gain = (
-                np.vecdot(c[i], np.log1p(r[ok]))
-                - t * fl[i] * dq[i].sum(axis=-1)
-                + ml[i] * np.log1p(t * nu[i]).sum(axis=-1)
-            )
-            good = gain >= _ARMIJO * t * decrement[i]
-            rho[live[i[good]]] = rl[i[good]] + t * d_rho[i[good]]
-            ok[ok] = good
-            todo = todo[~ok]
-            if j == 0:
-                inner = interior[live[todo]]
-                back, todo = live[todo[inner]], todo[~inner]
-                rho[back], interior[back] = mixed, False
-                mu[back] = mu_h[back] = mu_path[back]
-            if not todo.size:
-                break
+        # a factored record not certified in _FACTORED_STEPS steps restarts
+        # on the barrier path from I/d, where its mu has stayed mu_path
+        back = live[(rank[live] > 0) & (it == _FACTORED_STEPS)]
+        rho[back], rank[back] = np.eye(d) / d, 0
+        q[back] = _probabilities(pf, rho[back])
+        fac = live[rank[live] > 0]
+        rho[fac], rank[fac] = _factored_step(
+            maps, counts[fac], flux[fac], q[fac], rho[fac], rank[fac]
+        )
+        bar = live[rank[live] == 0]
+        _barrier_step(maps, counts, flux, q, rho, interior, mu, mu_h, mu_path, bar)
         q[live] = _probabilities(pf, rho[live])
     return rho, q, gap, iterations, gap <= MLE_TOL * n_total
+
+
+def _barrier_step(maps, counts, flux, q, rho, interior, mu, mu_h, mu_path, live):
+    # one Newton step of each record live on the barrier path or at mu = 0
+    # from its interior start, in place on rho, interior, mu and mu_h
+    if not live.size:
+        return
+    pf, kets, g, d = maps.pf, maps.kets, maps.diag, maps.d
+    iu, ju = maps.pairs
+    # coordinates 0 .. n_off - 1 are the pairs i < j, the rest the diagonal
+    n_off = 2 * iu.size
+    c, fl, ql = counts[live], flux[live], q[live]
+    w = c / ql
+    rl, ml, hl, k = rho[live], mu[live], mu_h[live], live.size
+
+    # Newton step of log L + mu log det rho over rho + U (sum_k x_k B_k) U^H,
+    # rho = U diag(lam) U^H, in the orthonormal traceless basis B_k:
+    # (E_ij + E_ji)/sqrt2 and i(E_ji - E_ij)/sqrt2 for the pairs i < j,
+    # then diag(g_k). There q moves by a x (_rotated_map), the barrier's
+    # gradient Tr(rho^-1 B~_k) is 0 on the pairs and g^T (1/lam) on the
+    # diagonal, and its Hessian Tr(rho^-1 B~_k rho^-1 B~_l) is diagonal,
+    # 1/(lam_i lam_j) on the pairs, but for the diagonal's block
+    # g^T diag(1/lam^2) g. The gradient takes mu, the Hessian mu_h, the mu
+    # rho was centred for (the last step's): the primal-dual scaling
+    # Z = mu_h rho^-1. After mu falls by _MU_CUT, a full step then takes an
+    # eigenvalue headed for 0 from lam to about lam / _MU_CUT
+    lam, u = np.linalg.eigh(rl)
+    a = _rotated_map(kets @ u.conj(), iu, ju, g)
+    inv_lam = 1.0 / lam
+    grad = (a.mT @ (w - fl[:, None])[..., None])[..., 0]
+    grad[:, n_off:] += ml[:, None] * (inv_lam[:, None, :] @ g)[:, 0]
+    a *= (np.sqrt(c) / ql)[..., None]
+    hess = a.mT @ a
+    pairs = np.arange(n_off)
+    hess[:, pairs, pairs] += hl[:, None] * np.tile(inv_lam[:, iu] * inv_lam[:, ju], 2)
+    hess[:, n_off:, n_off:] += hl[:, None, None] * (g.T @ (inv_lam[..., None] ** 2 * g))
+    step = np.linalg.solve(hess, grad[..., None])[..., 0]
+    decrement = np.vecdot(grad, step)
+    m = np.zeros((k, d, d), dtype=complex)
+    m[:, iu, ju] = np.sqrt(0.5) * (step[:, : iu.size] - 1j * step[:, iu.size : n_off])
+    m[:, ju, iu] = m[:, iu, ju].conj()
+    m[:, range(d), range(d)] = (g @ step[:, n_off:, None])[..., 0]
+    d_rho = u @ m @ u.conj().mT
+    d_rho = 0.5 * (d_rho + d_rho.conj().mT)
+    dq = _probabilities(pf, d_rho)
+    nu = _whitened_eigenvalues(lam, m)
+    mu_h[live] = ml
+    mu[live] = np.where(decrement < 0.5 * ml, ml / _MU_CUT, ml)
+
+    # backtracking: step t = 1, 1/2, ... until rho keeps a fraction of
+    # its distance to the boundary, 1 + t nu_min >= _BOUNDARY, and the
+    # gain reaches _ARMIJO * t * decrement. A record from the interior
+    # start that does not take t = 1 goes back to the barrier path: its
+    # maximum may lie on the boundary, where plain Newton slows down
+    todo = np.arange(k)
+    for j in range(_LINE_SEARCH_STEPS):
+        t = 0.5**j
+        r = t * dq[todo] / ql[todo]
+        ok = (1.0 + t * nu[todo, 0] >= _BOUNDARY) & np.all(r > -1.0, axis=-1)
+        i = todo[ok]
+        gain = (
+            np.vecdot(c[i], np.log1p(r[ok]))
+            - t * fl[i] * dq[i].sum(axis=-1)
+            + ml[i] * np.log1p(t * nu[i]).sum(axis=-1)
+        )
+        good = gain >= _ARMIJO * t * decrement[i]
+        rho[live[i[good]]] = rl[i[good]] + t * d_rho[i[good]]
+        ok[ok] = good
+        todo = todo[~ok]
+        if j == 0:
+            inner = interior[live[todo]]
+            back, todo = live[todo[inner]], todo[~inner]
+            rho[back], interior[back] = np.eye(d) / d, False
+            mu[back] = mu_h[back] = mu_path[back]
+        if not todo.size:
+            break
+
+
+def _factored_step(maps, c, fl, ql, rl, k):
+    # one step of each factored record of a stack, from its state rl and rank
+    # k; returns the new states and ranks. The chart: rho = U diag(lam) U^H
+    # cut to its top k eigenvalues, in descending order, is A A^H for
+    # A = U B, B = diag(sqrt(lam)), and the step moves A to U (B + t D) and rho
+    # to U (B + t D)(B + t D)^H U^H over its trace. D is lower trapezoidal in
+    # the first k columns: complex D[j, i] for j > i, and a real diagonal
+    # orthogonal to sqrt(lam) (through the columns of a Householder
+    # reflection). So neither the U(k) gauge A -> A V nor the scale of A,
+    # exact zero-curvature directions, is a coordinate, which leaves
+    # 2 d k - k^2 - 1 of them; the rest of the d*d - 1 coordinates are held
+    # at 0. There q moves by J x to first order, J as in _rotated_map with
+    # each pair (i, j) scaled by 2 sqrt(lam_i) and the diagonal by
+    # 2 sqrt(lam), and log L has the Hessian
+    # -J^T diag(c / q^2) J - 2 Re tr(D^H (tau I - G) D), G the likelihood
+    # gradient and tau = Tr(rho G). The system takes the positive part of
+    # tau I - G, so it is positive definite; near a maximum with strict
+    # complementarity tau I - G is positive semidefinite off the face and
+    # small on it, and the step stays Newton's
+    if not len(c):
+        return rl, k
+    kets, d = maps.kets, maps.d
+    iu, ju = maps.pairs
+    n_pair, n = iu.size, len(c)
+    rows = np.arange(n)
+    n_total = c.sum(axis=-1)
+    lam, u = np.linalg.eigh(rl)
+    lam, u = lam[:, ::-1], u[:, :, ::-1]
+    lam = np.where(np.arange(d) < k[:, None], np.maximum(lam, 0.0), 0.0)
+    lam /= lam.sum(axis=-1, keepdims=True)
+    wk = kets @ u.conj()
+
+    # k - 1 where column k shrank below 1/100 of column k - 1 and adding it
+    # back to the state without it, rho0 with probabilities q0, ascends no
+    # further (log L is concave along the segment, so rho0 is at least as
+    # likely as rho)
+    lk = lam[rows, k - 1]
+    qk = np.abs(wk[rows, :, k - 1]) ** 2
+    q0 = (ql - lk[:, None] * qk) / np.where(k > 1, 1.0 - lk, 1.0)[:, None]
+    drop = (k > 1) & (lk < 0.01 * lam[rows, k - 2]) & np.all(q0 > 0.0, axis=-1)
+    w0 = c / np.where(drop[:, None], q0, 1.0) - fl[:, None]
+    drop &= np.vecdot(w0, qk - q0) <= 0.0
+    k = k - drop
+    face = np.arange(d) < k[:, None]
+    lam = np.where(face, lam, 0.0)
+    lam /= lam.sum(axis=-1, keepdims=True)
+    ql = np.where(drop[:, None], q0, ql)
+    sq = np.sqrt(lam)
+    w = c / ql - fl[:, None]
+    tau = n_total - fl * ql.sum(axis=-1)
+    grad_m = (wk.mT * w[:, None, :]) @ wk.conj()
+    grad_m = 0.5 * (grad_m + grad_m.conj().mT)
+
+    # Householder reflection taking e_0 to sqrt(lam); its columns 1 .. d - 1
+    # are orthonormal and orthogonal to sqrt(lam), those from k on are e_j
+    v = sq.copy()
+    v[:, 0] -= 1.0
+    vv = np.vecdot(v, v)
+    vv = 2.0 / np.where(vv > 0.0, vv, np.inf)
+    hd = (np.eye(d) - v[:, :, None] * v[:, None, :] * vv[:, None, None])[:, :, 1:]
+    a = _rotated_map(wk, iu, ju, 2.0 * sq[:, :, None] * hd)
+    # coordinates: real parts of the pairs, imaginary parts, the diagonal
+    pre, pim, dia = slice(0, n_pair), slice(n_pair, 2 * n_pair), slice(2 * n_pair, None)
+    scale = np.sqrt(2.0 * lam[:, None, iu])
+    a[..., pre] *= scale
+    a[..., pim] *= scale
+    grad = (a.mT @ w[..., None])[..., 0]
+    # 2 Re tr(D^H K D), K the positive part of tau I - G, couples only the
+    # coordinates of one column of D; those of the columns from k on, held
+    # at 0, are coupled to no others, there or in J
+    mu_g, x = np.linalg.eigh(grad_m)
+    kp = (x * (2.0 * np.maximum(tau[:, None] - mu_g, 0.0))[:, None, :]) @ x.conj().mT
+    kc = kp[:, ju[:, None], ju[None, :]] * (iu[:, None] == iu[None, :])
+    kd = kp[:, ju, iu, None] * hd[:, iu, :]
+    on = iu < k[:, None]
+    active = np.concatenate([on, on, np.arange(1, d) < k[:, None]], axis=-1)
+    a_w = a * (np.sqrt(c) / ql)[..., None]
+    hess = a_w.mT @ a_w
+    hess[:, pre, pre] += kc.real
+    hess[:, pim, pim] += kc.real
+    hess[:, pre, pim] -= kc.imag
+    hess[:, pim, pre] += kc.imag
+    hess[:, pre, dia] += kd.real
+    hess[:, pim, dia] += kd.imag
+    hess[:, dia, pre] += kd.real.mT
+    hess[:, dia, pim] += kd.imag.mT
+    hess[:, dia, dia] += hd.mT @ (kp.diagonal(axis1=1, axis2=2).real[:, :, None] * hd)
+    diag = np.arange(hess.shape[-1])
+    hess[:, diag, diag] += ~active
+    step = np.linalg.solve(hess, grad[..., None])[..., 0] * active
+    decrement = np.vecdot(grad, step)
+    dm = np.zeros((n, d, d), dtype=complex)
+    dm[:, ju, iu] = step[:, pre] + 1j * step[:, pim]
+    dm[:, range(d), range(d)] = (hd @ step[:, dia, None])[..., 0]
+    dq = (a @ step[..., None])[..., 0]
+    z = wk @ dm.conj()
+    p2 = (z.real**2 + z.imag**2).sum(axis=-1)
+    nd = (dm.real**2 + dm.imag**2).sum(axis=(-2, -1))
+
+    # k + 1 where the gradient off the face, at its top eigenpair (g, u), beats
+    # tau by more than the Newton step can gain: the mixing step
+    # (1 - eps) rho + eps u u^H, with eps from a Newton step in eps (the
+    # face's diagonal is set below tau, so u lies off the face)
+    g_off = np.where(~face[:, :, None] & ~face[:, None, :], grad_m, 0.0)
+    g_off[:, range(d), range(d)] += np.where(face, (tau - np.abs(tau) - 1.0)[:, None], 0.0)
+    g, uo = np.linalg.eigh(g_off)
+    slope_off, uo = g[:, -1] - tau, uo[:, :, -1]
+    z = wk @ uo.conj()[..., None]
+    qu = (z.real**2 + z.imag**2)[..., 0]
+    curv_off = np.vecdot(c, (qu - ql) ** 2 / ql**2)
+    add = (slope_off > 0.0) & (curv_off > 0.0) & (slope_off**2 > curv_off * decrement)
+    eps = np.where(add, np.minimum(slope_off / np.where(add, curv_off, 1.0), 0.5), 0.0)
+
+    # backtracking on either step: t = 1, 1/2, ... until the gain reaches
+    # _ARMIJO * t * slope, with q(t) in closed form:
+    # (q + t dq + t^2 |D^H w_s|^2) / (1 + t^2 |D|^2) for the Newton step, and
+    # q + t eps (q_u - q) for the mixing step
+    x1 = np.where(add[:, None], eps[:, None] * (qu - ql), dq)
+    x2 = np.where(add[:, None], 0.0, p2)
+    y2 = np.where(add, 0.0, nd)
+    slope = np.where(add, eps * slope_off, decrement)
+    t_step = np.zeros(n)
+    todo = rows
+    for j in range(_LINE_SEARCH_STEPS):
+        t = 0.5**j
+        num = t * x1[todo] + t * t * x2[todo]
+        r = num / ql[todo]
+        ok = np.all(r > -1.0, axis=-1)
+        i = todo[ok]
+        tt = t * t * y2[i]
+        gain = (
+            np.vecdot(c[i], np.log1p(r[ok]))
+            - n_total[i] * np.log1p(tt)
+            - fl[i] * (num[ok].sum(axis=-1) - tt * ql[i].sum(axis=-1)) / (1.0 + tt)
+        )
+        good = gain >= _ARMIJO * t * slope[i]
+        t_step[i[good]] = t
+        ok[ok] = good
+        todo = todo[~ok]
+        if not todo.size:
+            break
+    s = t_step * eps
+    b = np.where(add, np.sqrt(1.0 - s), 1.0)[:, None, None] * sq[:, None, :] * np.eye(d)
+    b = b + np.where(add, 0.0, t_step)[:, None, None] * dm
+    b[add, :, k[add]] += np.sqrt(s[add])[:, None] * uo[add]
+    a = u @ b
+    new = a @ a.conj().mT
+    new /= np.trace(new, axis1=1, axis2=2).real[:, None, None]
+    moved = (t_step > 0.0) | drop
+    rl = np.where(moved[:, None, None], 0.5 * (new + new.conj().mT), rl)
+    return rl, k + (add & (t_step > 0.0))
 
 
 def _resample(rec, seed):

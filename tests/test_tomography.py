@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from thermalcluster import tomography
 from thermalcluster.graphs import Graph, linear_graph
 from thermalcluster.linalg import KETS, validate_density_matrix
+from thermalcluster.sweep import _SEED_STRIDE
 from thermalcluster.thermal import p_from_temperature, thermal_state_model
 from thermalcluster.tomography import (
     _BATCH,
@@ -20,6 +22,7 @@ from thermalcluster.tomography import (
     _linear_maps,
     _mle_batch,
     _newton,
+    _positive_part,
     _resample,
     _whitened_eigenvalues,
     expected_probabilities,
@@ -277,8 +280,10 @@ def test_mle_batch_results_do_not_depend_on_the_batch():
     # each record's result is the same bit for bit alone, in one mixed batch
     # and in reverse order: tomo_ladder cells, a record with zero counts and
     # an all-zero record, more records than one chunk of the solver holds.
-    # The flux-1e6 records start at their closed-form maximum, the rest on
-    # the barrier path, so the batches mix both starts
+    # The batches mix all four starts: the flux-1e6 records start at their
+    # closed-form maximum, the flux-1e3 ones in the factored chart at its
+    # positive part, the record with zero counts on the barrier path, and
+    # the all-zero record is I/8 by convention
     settings = standard_settings(3)
     maps = _linear_maps(settings)
     recs = []
@@ -290,6 +295,7 @@ def test_mle_batch_results_do_not_depend_on_the_batch():
     assert 0 < np.count_nonzero(sparse.counts == 0) < len(settings)
     empty = CountRecord(settings=settings, counts=np.zeros(len(settings)), flux=1e3)
     recs += [sparse, empty]
+    assert len(recs) > _BATCH
 
     def check(batch, **kw):
         alone = [mle_reconstruct(rec, **kw) for rec in batch]
@@ -318,6 +324,8 @@ def test_mle_batch_results_do_not_depend_on_the_batch():
     ]
     expected = [flux == 1e6 for t in (0.5, 1.8) for flux in (1e3, 1e6) for _ in range(4)]
     assert closed == expected + [False]
+    factored = [bool(np.all(rec.counts > 0)) and not cf for rec, cf in zip(recs[:-1], closed)]
+    assert factored == [not cf for cf in expected] + [False]
     capped = check(recs[:-1], max_iter=1)
     for res, cf in zip(capped, closed):
         assert (res.converged, res.iterations) == ((True, 0) if cf else (False, 1))
@@ -363,14 +371,15 @@ def test_mle_interior_start_and_its_fallback():
     # least-squares estimate. On the standard settings at T/gap 1.8 the
     # closed-form maximum is positive definite too, so it is the MLE,
     # certified at its start with 0 steps. At T/gap 0.5 it is not: the
-    # maximum lies on the boundary and the record walks the barrier path
-    # from I/8. On the overcomplete MUB settings at T/gap 0.3 the record
-    # starts at its least-squares estimate, a Newton step is cut short, and
-    # it restarts on the barrier path from I/8
+    # maximum lies on the boundary and the record starts in the factored
+    # chart at the positive part of the closed form. On the overcomplete MUB
+    # settings at T/gap 0.3 the record starts at its least-squares estimate,
+    # a Newton step is cut short, and it restarts on the barrier path from
+    # I/8. The windows were (4, 29) for both, before the factored start
     for settings, t, seed, steps in (
         (standard_settings(3), 1.8, 40, (0, 0)),
-        (standard_settings(3), 0.5, 51, (4, 29)),
-        (mub_settings(3), 0.3, 60, (4, 29)),
+        (standard_settings(3), 0.5, 51, (1, 2)),
+        (mub_settings(3), 0.3, 60, (4, 24)),
     ):
         maps = _linear_maps(settings)
         rho = thermal_state_model(linear_graph(3), p_from_temperature(t), 0.84 * np.pi)
@@ -428,10 +437,10 @@ def barrier_solve(rec, max_iter=200):
     maps = _linear_maps(rec.settings)
     rho, q, gap, iterations, converged = _newton(
         maps, rec.counts[None], np.array([rec.flux]), np.eye(maps.d, dtype=complex)[None] / maps.d,
-        np.array([False]), max_iter,
+        np.array([False]), np.array([0]), max_iter,
     )
     assert converged[0] and iterations[0] > 0
-    return rho[0], q[0], gap[0]
+    return rho[0], q[0], gap[0], iterations[0]
 
 
 def test_closed_form_is_the_certified_maximum():
@@ -449,10 +458,13 @@ def test_closed_form_is_the_certified_maximum():
         res = mle_reconstruct(rec, max_iter=0)
         assert res.converged and res.iterations == 0
         assert res.gap <= 1e-12 * n, (t, flux, res.gap / n)
-        rho_b, q_b, gap_b = barrier_solve(rec)
+        rho_b, q_b, gap_b, _ = barrier_solve(rec)
         ll_b = poisson_log_likelihood(rho_b, rec)
         assert ll_b <= res.log_likelihood + res.gap
         assert res.log_likelihood <= ll_b + gap_b
+        # projected linear inversion, which the solver skips here, cannot
+        # beat the maximum over a superset of the states
+        assert poisson_log_likelihood(linear_inversion(rec).rho, rec) <= res.log_likelihood
         q = expected_probabilities(res.rho, settings)
         kappa = np.sum(rec.counts * (q - q_b) ** 2 / np.maximum(q, q_b) ** 2)
         assert 0.5 * kappa <= res.gap + gap_b, (t, flux)
@@ -482,26 +494,100 @@ def test_closed_form_needs_positive_counts_and_a_positive_estimate():
         assert res.converged and res.iterations > 0
 
 
+def test_factored_start_certifies_boundary_records():
+    # flux-1e3 records whose closed form has k positive eigenvalues and at
+    # least one <= 0, so their maximum lies on the boundary: each is
+    # certified in the factored chart, in fewer Newton steps than the
+    # barrier path from I/8 takes on the same counts, and no state the
+    # diluted R rho R iteration reaches beats log L + gap. The MLE has rank
+    # k where the positive part is the right face; at seed 42 the gradient
+    # off the face adds a column (k + 1), at seed 43 the last column shrinks
+    # and is dropped in the first step (k - 1), so the result has rank k - 1
+    # up to rounding
+    settings = standard_settings(3)
+    maps = _linear_maps(settings)
+    for t, seed, k, rank in ((0.5, 40, 6, 6), (1.8, 40, 7, 7), (0.5, 42, 5, 6), (0.5, 43, 6, 5)):
+        rho = thermal_state_model(linear_graph(3), p_from_temperature(t), 0.84 * np.pi)
+        rec = simulate_counts(rho, settings, 1e3, seed=seed)
+        assert np.all(rec.counts > 0)
+        est = _closed_form(maps, rec.counts[None], np.array([rec.flux]))
+        assert np.linalg.eigvalsh(est)[0, 0] <= 0.0
+        assert _positive_part(est)[1][0] == k
+        res = mle_reconstruct(rec)
+        assert res.converged and res.gap <= MLE_TOL * rec.counts.sum()
+        assert res.iterations < barrier_solve(rec)[3], (t, seed, res.iterations)
+        validate_density_matrix(res.rho)
+        assert np.count_nonzero(np.linalg.eigvalsh(res.rho) > 1e-12) == rank, (t, seed)
+        for start, n in ((np.eye(8, dtype=complex) / 8, 500), (res.rho, 200)):
+            oracle = poisson_log_likelihood(diluted_rrho(rec, start, n), rec)
+            assert oracle <= res.log_likelihood + res.gap, (t, seed, n)
+
+
+def test_factored_record_past_its_budget_restarts_on_the_barrier_path(monkeypatch):
+    # a factored record not certified in _FACTORED_STEPS steps restarts from
+    # I/8 on the barrier path: its result is the barrier path's, bit for
+    # bit, and its steps count toward iterations and max_iter
+    monkeypatch.setattr(tomography, "_FACTORED_STEPS", 2)
+    rho = thermal_state_model(linear_graph(3), p_from_temperature(0.5), 0.84 * np.pi)
+    rec = simulate_counts(rho, standard_settings(3), 1e3, seed=40)
+    res = mle_reconstruct(rec)
+    rho_b, _, gap_b, steps_b = barrier_solve(rec)
+    assert np.array_equal(res.rho, rho_b) and res.gap == gap_b
+    assert res.converged and res.iterations == 2 + steps_b
+    capped = mle_reconstruct(rec, max_iter=steps_b)
+    assert not capped.converged and capped.iterations == steps_b
+
+
+def test_mle_step_counts_on_tomo_sweep_records():
+    # the records of a tomo_sweep request (T/gap 0.5 and 1.8 at 0.84 pi,
+    # flux 2e3, 4 resamples per point) for seeds 0-9, 100 solves: the counts
+    # repeat exactly, so the mean and max Newton steps are pinned as caps
+    # (on the barrier path they were 22.33 and 28), and the slowest record
+    # of each request sets its rounds
+    settings = standard_settings(3)
+    models = [
+        thermal_state_model(linear_graph(3), p_from_temperature(t), 0.84 * np.pi)
+        for t in (0.5, 1.8)
+    ]
+    steps = []
+    for seed in range(10):
+        recs = []
+        for i, model in enumerate(models):
+            point_seed = seed + i * _SEED_STRIDE
+            rec = simulate_counts(model, settings, 2e3, seed=point_seed)
+            recs += [rec] + [_resample(rec, point_seed + 1 + k) for k in range(4)]
+        results = _mle_batch(recs)
+        assert all(res.converged for res in results)
+        steps += [res.iterations for res in results]
+    assert len(steps) == 100
+    assert sum(steps) <= 638 and max(steps) <= 13
+
+
 def test_mle_batch_of_mixed_starts_matches_each_record_alone():
-    # more than one chunk of records, closed-form and barrier-path starts
-    # interleaved: the batch groups them by start, and every result keeps
-    # the bits of its record solved alone, in the caller's order
+    # more than one chunk of records, all four starts interleaved (closed
+    # form, factored, barrier path for zero counts, all-zero): the batch
+    # groups them by start, and every result keeps the bits of its record
+    # solved alone, in the caller's order, and in chunks of any size
     settings = standard_settings(3)
     recs = []
     for seed in range(7):
-        for t, flux in ((1.8, 1e6), (0.8, 2e3), (np.inf, 1e3)):
+        for t, flux in ((1.8, 1e6), (0.8, 2e3), (np.inf, 1e3), (0.1, 20.0)):
             rho = thermal_state_model(linear_graph(3), p_from_temperature(t), 0.84 * np.pi)
             recs.append(simulate_counts(rho, settings, flux, seed=seed))
-    assert len(recs) > _BATCH
+        recs.append(CountRecord(settings=settings, counts=np.zeros(len(settings)), flux=1e3))
+    assert len(recs) > 2 * _BATCH
+    assert all(np.any(rec.counts == 0) for rec in recs[3::5])
     got = _mle_batch(recs)
     steps = [res.iterations for res in got]
     assert 0 < steps.count(0) < len(recs)
-    for rec, b in zip(recs, got):
+    chunks = [r for lo in range(0, len(recs), 5) for r in _mle_batch(recs[lo : lo + 5])]
+    for rec, b, c in zip(recs, got, chunks):
         a = mle_reconstruct(rec)
-        assert np.array_equal(a.rho, b.rho)
-        assert (a.iterations, a.converged, a.gap, a.log_likelihood) == (
-            b.iterations, b.converged, b.gap, b.log_likelihood
-        )
+        for other in (b, c):
+            assert np.array_equal(a.rho, other.rho)
+            assert (a.iterations, a.converged, a.gap, a.log_likelihood) == (
+                other.iterations, other.converged, other.gap, other.log_likelihood
+            )
 
 
 def test_mle_certified_on_extreme_inputs():
@@ -512,8 +598,10 @@ def test_mle_certified_on_extreme_inputs():
     # Records whose least-squares estimate is an interior state start there
     # and take plain Newton steps: the mean falls from 18.1 to 14.8. On the
     # standard settings the start is the closed-form maximum, certified with
-    # 0 steps, and the mean falls to 14.4; the maximum, set by records on
-    # the barrier path, stays
+    # 0 steps, and the mean falls to 14.4. Records with positive counts
+    # whose estimate is not positive definite start in the factored chart:
+    # the mean falls to 11.8 (the caps were 29 and 15.0); the maximum, set
+    # by records with a zero count on the barrier path, stays
     rows = []
     steps = []
     for n in (1, 2, 3):
@@ -532,8 +620,8 @@ def test_mle_certified_on_extreme_inputs():
     assert (3, 64, 0.2, 1e8, 0, True, True) in rows
     assert (3, 64, 0.2, 1e8, 1, True, True) in rows
     assert [r for r in rows if not (r[5] and r[6])] == []
-    assert max(steps) <= 29
-    assert np.mean(steps) <= 15.0
+    assert max(steps) <= 27
+    assert np.mean(steps) <= 11.8
 
 
 def test_mle_batch_needs_one_settings_tuple():
