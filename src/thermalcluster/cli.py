@@ -16,8 +16,8 @@ Subcommands:
     Per-basis-pair preparation fidelity breakdown at one temperature.
 
 Exit codes: 0 success, 1 configuration error (a ConfigError, raised by the
-parsers here or by any library function for an out-of-domain argument),
-2 any other failure.
+parsers here, for a file that cannot be read or written, or by any library
+function for an out-of-domain argument), 2 any other failure.
 """
 
 from __future__ import annotations
@@ -154,9 +154,11 @@ def _cmd_sweep(args):
         "seed": cfg.seed,
         "tool_version": __version__,
     }
-    text = emit(points, fmt=args.format, path=args.output, provenance=provenance)
+    text = emit(points, fmt=args.format, provenance=provenance)
     if args.output is None:
         sys.stdout.write(text)
+    else:
+        _write_file(args.output, text, "output file")
     return 0
 
 
@@ -184,6 +186,14 @@ def _point_args(args):
     return p_from_temperature(args.t), args.t
 
 
+def _write_file(path, text, what):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what}: {exc}") from None
+
+
 def _load_counts(path):
     try:
         with open(path) as fh:
@@ -208,8 +218,7 @@ def _cmd_tomo(args):
     else:
         rec = simulate_counts(rho, standard_settings(3), args.flux, seed=args.seed)
     if args.save_counts:
-        with open(args.save_counts, "w") as fh:
-            fh.write(rec.to_text())
+        _write_file(args.save_counts, rec.to_text(), "count file")
     result = mle_reconstruct(rec)
     rep = classify(result.rho)
     print(f"p = {p!r}, t_over_delta = {t!r}, alpha = {alpha!r}")

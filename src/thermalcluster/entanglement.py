@@ -9,7 +9,9 @@ is ideal dephasing up to local unitaries, which leave every negativity
 unchanged. At alpha = pi both curves are polynomials in p, so the boundaries
 are their roots in closed form (Newton's method for the cubic's), carried
 to other angles in closed form; the only state a call builds is the check
-that both curves cross at its angle.
+that both curves cross at its angle. The same curves, carried to any angle,
+give the negativities of the model rows of a sweep without building a
+partial transpose.
 """
 
 from __future__ import annotations
@@ -162,13 +164,32 @@ def transition_points(alpha, tol=DEFAULT_TOL):
     )
 
 
+def _chain_negativities(p, alpha):
+    # (N_Ap, N_Bp, N_Bs) of the model state at each dephasing strength of
+    # the array p, stacked on the last axis: the alpha = pi curves at
+    # p_eff = 1 - |c| (see transition_points), where 1 - |c|^2 = s y with
+    # s = sin^2(alpha/2) and y = p (2 - p), so p_eff = s y / (1 + |c|)
+    x = math.sin(0.5 * alpha) ** 2 * (p * (2.0 - p))
+    q = x / (1.0 + np.sqrt(1.0 - x))
+    end = ((q - 4.0) * q + 2.0) / 4.0
+    mid = _mid_cubic(q, -4.0) / -8.0
+    negs = np.stack([end, end, mid], axis=-1)
+    return np.where(negs > 0.0, negs, 0.0)
+
+
+def _mid_cubic(p, c):
+    # p^3 - 4p^2 + 8p + c: with c = -4 it is -8 N_Bs at alpha = pi before
+    # the clamp at 0, with c = 8 tol - 4 the g of transition_points
+    return ((p - 4.0) * p + 8.0) * p + c
+
+
 def _pi_roots(tol):
     # the end root in its rationalised form, and Newton's steps on g from 0
     # up to the middle root (see transition_points)
     c = 8.0 * tol - 4.0
     p = 0.0
     while True:
-        step = p - (((p - 4.0) * p + 8.0) * p + c) / ((3.0 * p - 8.0) * p + 8.0)
+        step = p - _mid_cubic(p, c) / ((3.0 * p - 8.0) * p + 8.0)
         if not step > p:
             return (2.0 - 4.0 * tol) / (2.0 + math.sqrt(2.0 + 4.0 * tol)), p
         p = step

@@ -3,10 +3,12 @@
 A sweep walks a grid of dephasing strengths (or temperatures), builds the
 model states of all its points as one stack, and collects negativities,
 the entanglement class, the preparation fidelity, and the fidelity against
-the ideal Gibbs state, each from one batched call over the stack. With
-tomography enabled the quantities come from a simulated reconstruction
-instead, with Monte Carlo error bars attached and the classification
-thresholds replaced by those error bars.
+the ideal Gibbs state. On model rows the negativities and the fidelity
+against the Gibbs state are closed forms in p and the angle, exact to
+rounding; only the preparation fidelity reads the states. With tomography
+enabled the quantities come from a simulated reconstruction instead, each
+from one batched call over its stack, with Monte Carlo error bars attached
+and the classification thresholds replaced by those error bars.
 
 A tomography sweep first draws every count record it needs, each point's
 record followed by its Monte Carlo resamples, and then solves them all in
@@ -26,11 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import DEFAULT_TOL, classify_values, negativity
+from .entanglement import DEFAULT_TOL, _chain_negativities, classify_values, negativity
 from .graphs import CHAIN, format_graph
 from .linalg import ConfigError, _check_integer, _is_real, fidelity
 from .mbqc import _preparation_operator
-from .thermal import gibbs_state, p_from_temperature, temperature_from_p, thermal_state_model
+from .thermal import (
+    _fidelity_to_gibbs,
+    gibbs_state,
+    p_from_temperature,
+    temperature_from_p,
+    thermal_state_model,
+)
 from .tomography import _mle_batch, _resample, simulate_counts, standard_settings
 
 # not called here; the benchmark's tracer test still looks the solver up in
@@ -152,20 +160,19 @@ def _grid_points(cfg):
     return [(p_from_temperature(t), float(t)) for t in cfg.t_grid]
 
 
-def _measure(rhos):
-    # the negativities of each state of a C-contiguous stack, one column per
-    # cut in _CUTS order, and its preparation fidelity, taken row by row: the
-    # vdot of a contiguous row gives the bits of average_preparation_fidelity
-    # without its check per row, as negativity has checked the whole stack
-    negs = np.stack([negativity(rhos, c) for c in _CUTS], axis=-1)
+def _preparation_fidelities(rhos):
+    # of each state of a C-contiguous stack, taken row by row: the vdot of a
+    # contiguous row gives the bits of average_preparation_fidelity without
+    # its check per row, as the states are model states or negativity has
+    # checked the whole stack
     w = _preparation_operator()
-    return negs, np.array([np.vdot(w, rho).real for rho in rhos])
+    return np.array([np.vdot(w, rho).real for rho in rhos])
 
 
-def _rows(pts, rhos, negs, fids, errs):
+def _rows(pts, negs, fids, errs, ideal):
     # errs: per point, the error bars of the three negativities and of the
-    # preparation fidelity, zero for model rows
-    ideal = fidelity(rhos, gibbs_state(CHAIN, np.array([t for _, t in pts])))
+    # preparation fidelity, zero for model rows; ideal: the fidelities
+    # against the Gibbs states
     rows = []
     for (p, t), neg, fid, err, f in zip(pts, negs, fids, errs, ideal):
         # classification significance at one Monte Carlo standard deviation
@@ -185,14 +192,20 @@ def _rows(pts, rhos, negs, fids, errs):
 def run_sweep(cfg):
     """Evaluate every grid point; rows are ordered by grid index.
 
-    The model states of all points are one stack, and every quantity of a
-    row comes from one batched call over the stack.
+    The model states of all points are one stack. Model rows take their
+    negativities and their fidelity against the Gibbs state in closed form
+    and their preparation fidelity from the stack; tomography rows take
+    every quantity from one batched call over the stack of reconstructions.
     """
     cfg.validate()
     pts = _grid_points(cfg)
-    models = thermal_state_model(CHAIN, np.array([p for p, _ in pts]), cfg.alpha)
+    ps = np.array([p for p, _ in pts])
+    models = thermal_state_model(CHAIN, ps, cfg.alpha)
     if not cfg.tomography_enabled:
-        return _rows(pts, models, *_measure(models), np.zeros((len(pts), 4)))
+        return _rows(
+            pts, _chain_negativities(ps, cfg.alpha), _preparation_fidelities(models),
+            np.zeros((len(pts), 4)), _fidelity_to_gibbs(ps, cfg.alpha),
+        )
     settings = standard_settings(3)
     recs = []
     for i, model in enumerate(models):
@@ -202,13 +215,16 @@ def run_sweep(cfg):
         recs += [_resample(rec, point_seed + 1 + k) for k in range(cfg.mc_samples)]
     # each point's reconstruction followed by those of its resamples
     rhos = np.stack([res.rho for res in _mle_batch(recs)])
-    negs, fids = _measure(rhos)
+    # one column per cut, in _CUTS order
+    negs = np.stack([negativity(rhos, c) for c in _CUTS], axis=-1)
+    fids = _preparation_fidelities(rhos)
     n = 1 + cfg.mc_samples
     errs = [
         np.std(np.column_stack([negs[i + 1 : i + n], fids[i + 1 : i + n]]), axis=0, ddof=1)
         for i in range(0, len(rhos), n)
     ]
-    return _rows(pts, rhos[::n], negs[::n], fids[::n], errs)
+    ideal = fidelity(rhos[::n], gibbs_state(CHAIN, np.array([t for _, t in pts])))
+    return _rows(pts, negs[::n], fids[::n], errs, ideal)
 
 
 def _cells(pt):

@@ -13,6 +13,7 @@ t = +inf the maximally mixed state.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -134,6 +135,24 @@ def thermal_state_model(g, p, alpha=np.pi):
     for idx in factor_index[1:]:
         kk = kk * k[..., idx]
     return np.ascontiguousarray(pure * kk)
+
+
+def _fidelity_to_gibbs(p, alpha):
+    # fidelity of thermal_state_model(g, p, alpha) to the Gibbs state at
+    # temperature_from_p(p), for an array p and any 3-qubit graph g. The
+    # channel is diagonal, so it commutes with the CZ gates: both states are
+    # U (rho_q (x) rho_q (x) rho_q) U^dagger with rho_q = [[1, c], [c*, 1]] / 2,
+    # c = (1 - p/2) + (p/2) e^(-i alpha) for the model and 1 - p for the Gibbs
+    # state. Fidelity is unitarily invariant and multiplies over products, so
+    # F = f^3 with the qubit fidelity f = tr(rho sigma) + 2 sqrt(det rho det sigma)
+    # (Hubner, Phys. Lett. A 163, 239 (1992)). With h = |sin(alpha/2)|,
+    # Re c = 1 - p h^2 and 1 - |c|^2 = h^2 p (2 - p), so
+    # f = (1 + (1 - p)(1 - p h^2) + p (2 - p) h) / 2, summed here as
+    # 1 - (p/2)(1 - h (2 - p - h (1 - p))), whose rounding gives exactly
+    # 1 - p/2 at alpha = 0 (h = 0) and exactly 1 at alpha = pi (h = 1)
+    h = abs(math.sin(0.5 * alpha))
+    f = (1.0 - 0.5 * p * (1.0 - h * ((2.0 - p) - h * (1.0 - p)))) ** 3
+    return np.where(f > 1.0, 1.0, f)
 
 
 @functools.lru_cache(maxsize=8)

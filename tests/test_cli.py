@@ -196,6 +196,19 @@ def test_count_file_errors_exit_1(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+def test_unwritable_output_files_exit_1(tmp_path, capsys):
+    # a path that cannot be written is a configuration error, as an
+    # unreadable --config or --load-counts is
+    absent = tmp_path / "absent"
+    assert main(["sweep", "--p-grid", "0.5", "--output", str(absent / "x.csv")]) == 1
+    assert "cannot write output file" in capsys.readouterr().err
+    assert main(["tomo", "--t", "1", "--save-counts", str(absent / "c.txt")]) == 1
+    assert "cannot write count file" in capsys.readouterr().err
+    # a directory in place of the file
+    assert main(["sweep", "--p-grid", "0.5", "--output", str(tmp_path)]) == 1
+    assert "cannot write output file" in capsys.readouterr().err
+
+
 def test_spectrum_subcommand(capsys):
     assert main(["spectrum"]) == 0
     out = capsys.readouterr().out

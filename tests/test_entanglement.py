@@ -11,6 +11,7 @@ from thermalcluster.entanglement import (
     PPT_ALL,
     BracketingError,
     TransitionPoints,
+    _chain_negativities,
     classify,
     classify_values,
     negativity,
@@ -18,7 +19,7 @@ from thermalcluster.entanglement import (
 )
 from thermalcluster.graphs import CHAIN, linear_graph
 from thermalcluster.linalg import ConfigError
-from thermalcluster.thermal import temperature_from_p, thermal_state_model
+from thermalcluster.thermal import p_from_temperature, temperature_from_p, thermal_state_model
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -245,6 +246,40 @@ def test_phase_gate_channel_is_dephasing_up_to_local_phase_gates():
         assert np.abs(rho - d[:, :, None] * rho_pi * d[:, None, :].conj()).max() <= 1e-15
         for cut in ((0,), (1,), (2,)):
             assert np.abs(negativity(rho, cut) - negativity(rho_pi, cut)).max() <= 1e-14, (a, cut)
+
+
+# the sweep's cuts, in the order of its columns neg_Ap, neg_Bp, neg_Bs
+SWEEP_CUTS = ((0,), (2,), (1,))
+ORACLE_T = (0.0, 1e-3, *np.linspace(0.1, 4.0, 40).tolist(), 10.0, math.inf)
+
+
+@pytest.mark.parametrize("a", [-1.0, -0.84, 0.0, 0.3, 0.84, 1.0, 1.3, 2.0])
+def test_chain_negativities_match_the_partial_transposes(a):
+    # the closed form the sweep rows take, against the eigenvalues of the
+    # partial transposes of the model states
+    alpha = a * math.pi
+    ps = np.array([p_from_temperature(t) for t in ORACLE_T])
+    negs = _chain_negativities(ps, alpha)
+    assert negs.shape == (len(ps), 3)
+    rho = thermal_state_model(CHAIN, ps, alpha)
+    for k, cut in enumerate(SWEEP_CUTS):
+        assert np.abs(negs[:, k] - negativity(rho, cut)).max() <= 2e-15, cut
+
+
+def test_chain_negativities_at_the_ends_of_the_sweep():
+    for a in (-1.0, -0.84, 0.0, 0.3, 0.84, 1.0, 1.3, 2.0):
+        assert _chain_negativities(np.array([0.0]), a * math.pi).tolist() == [[0.5] * 3], a
+    # where both curves cross, every cut is PPT at T = inf
+    for a in (-1.0, -0.84, 0.84, 1.0):
+        assert _chain_negativities(np.array([1.0]), a * math.pi).tolist() == [[0.0] * 3], a
+
+
+@pytest.mark.parametrize("a", [0.84, 0.9, 1.0])
+def test_chain_negativities_meet_tol_at_the_transition_points(a):
+    # the roots are the inverse map of the same curves
+    tp = transition_points(a * math.pi, tol=0.02)
+    negs = _chain_negativities(np.array([tp.p_free_to_bound, tp.p_bound_to_ppt]), a * math.pi)
+    assert abs(negs[0, 0] - 0.02) <= 1e-14 and abs(negs[1, 2] - 0.02) <= 1e-14
 
 
 def _transition_golden_text():

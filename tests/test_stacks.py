@@ -91,18 +91,37 @@ def _spy(monkeypatch, module, name):
     return calls
 
 
-def test_model_sweep_makes_one_call_per_quantity(monkeypatch):
-    # a structural guard that timing on a shared host cannot give: a model
-    # sweep builds its states and their reference states in one call each
+def _sweep_calls(monkeypatch, cfg):
+    # the number of calls a sweep makes to each state-building or
+    # state-reading function it imports
     counts = {
         name: _spy(monkeypatch, sweep, name)
         for name in ("thermal_state_model", "gibbs_state", "negativity", "fidelity")
     }
-    points = run_sweep(SweepConfig(t_grid=DENSE_T, alpha=0.84 * np.pi))
+    points = run_sweep(cfg)
+    return points, {name: len(c) for name, c in counts.items()}
+
+
+def test_model_sweep_makes_one_call_per_quantity(monkeypatch):
+    # a structural guard that timing on a shared host cannot give: a model
+    # sweep builds its states in one call, for the preparation fidelity, and
+    # takes the negativities and the fidelity against the Gibbs states in
+    # closed form, with no Gibbs state, partial transpose or eigensolver
+    points, calls = _sweep_calls(monkeypatch, SweepConfig(t_grid=DENSE_T, alpha=0.84 * np.pi))
     assert len(points) == 60
-    assert {name: len(c) for name, c in counts.items()} == {
-        "thermal_state_model": 1, "gibbs_state": 1, "negativity": 3, "fidelity": 1,
-    }
+    assert calls == {"thermal_state_model": 1, "gibbs_state": 0, "negativity": 0, "fidelity": 0}
+
+
+def test_tomography_sweep_makes_one_call_per_quantity(monkeypatch):
+    # reconstructions have no closed form: one batched call per quantity
+    # over the stack of reconstructions
+    cfg = SweepConfig(
+        t_grid=(0.5, 1.8), alpha=0.84 * np.pi,
+        tomography_enabled=True, flux=2e3, mc_samples=2, seed=3,
+    )
+    points, calls = _sweep_calls(monkeypatch, cfg)
+    assert len(points) == 2
+    assert calls == {"thermal_state_model": 1, "gibbs_state": 1, "negativity": 3, "fidelity": 1}
 
 
 def test_sweep_preparation_fidelity_is_the_public_one_to_the_bit():
@@ -116,7 +135,7 @@ def test_sweep_preparation_fidelity_is_the_public_one_to_the_bit():
     ]
     rhos = np.stack([res.rho for res in _mle_batch(recs)])
     for stack in (models, rhos):
-        _, fids = sweep._measure(stack)
+        fids = sweep._preparation_fidelities(stack)
         assert _same_bits(fids, np.array([average_preparation_fidelity(r) for r in stack]))
 
 

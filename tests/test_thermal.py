@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from thermalcluster.graphs import build_graph_state, linear_graph
-from thermalcluster.linalg import I2, tensor_all, validate_density_matrix
+from thermalcluster.graphs import CHAIN, build_graph_state, linear_graph
+from thermalcluster.linalg import I2, fidelity, tensor_all, validate_density_matrix
 from thermalcluster.thermal import (
+    _fidelity_to_gibbs,
     gibbs_state,
     p_from_temperature,
     temperature_from_p,
@@ -145,3 +146,44 @@ def test_model_diagonal_is_alpha_independent():
     b = thermal_state_model(g, 0.6, 0.84 * np.pi)
     assert np.allclose(np.diag(a), np.diag(b))
     assert not np.allclose(a, b)
+
+
+def _qubit(c):
+    # one qubit of the chain's product form: [[1, c], [conj(c), 1]] / 2
+    return np.array([[1.0, c], [np.conj(c), 1.0]], dtype=complex) / 2.0
+
+
+# the regime map's temperature grid
+DENSE_T = tuple(0.05 * k for k in range(1, 61))
+
+
+@pytest.mark.parametrize("a", [0.3, 0.6, 0.84, 0.95, 1.3])
+def test_fidelity_to_gibbs_is_the_cube_of_the_qubit_fidelity(a):
+    # the model and Gibbs states are one CZ unitary applied to products of
+    # three equal qubits, with c = 1 - p/2 + (p/2) e^(-i alpha) and 1 - p
+    alpha = a * np.pi
+    ts = [t for t in (*DENSE_T, 10.0, np.inf) if t >= 0.3]
+    ps = np.array([p_from_temperature(t) for t in ts])
+    closed = _fidelity_to_gibbs(ps, alpha)
+    for p, f in zip(ps, closed):
+        c = (1.0 - p / 2.0) + (p / 2.0) * np.exp(-1j * alpha)
+        assert abs(f - fidelity(_qubit(c), _qubit(1.0 - p)) ** 3) <= 1e-13, p
+
+
+@pytest.mark.parametrize("a", [0.3, 0.84, 1.0])
+def test_fidelity_to_gibbs_matches_the_full_states(a):
+    # the 8 x 8 route's own error at low T is up to about 4e-8: this only
+    # cross-checks the product identity at full size
+    alpha = a * np.pi
+    ts = (0.0, 0.1, *DENSE_T, np.inf)
+    ps = np.array([p_from_temperature(t) for t in ts])
+    full = fidelity(thermal_state_model(CHAIN, ps, alpha), gibbs_state(CHAIN, np.array(ts)))
+    assert np.abs(_fidelity_to_gibbs(ps, alpha) - full).max() <= 1e-7
+
+
+def test_fidelity_to_gibbs_exact_cases():
+    ps = np.array([p_from_temperature(t) for t in (0.0, *DENSE_T, np.inf)])
+    # at alpha = pi the model is the Gibbs state
+    assert _fidelity_to_gibbs(ps, np.pi).tolist() == [1.0] * len(ps)
+    # at alpha = 0 the model is the pure graph state, and F = <G|sigma|G>
+    assert _fidelity_to_gibbs(ps, 0.0).tolist() == ((1.0 - ps / 2.0) ** 3).tolist()
