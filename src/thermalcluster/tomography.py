@@ -8,7 +8,7 @@ set) and as Poisson maximum likelihood. The likelihood is concave in rho,
 so the MLE is found by Newton's method and certified by the Frank-Wolfe
 gap, an upper bound on how far the returned log-likelihood lies below the
 maximum (cf. Glancy, Knill and Girard, NJP 14, 095017 (2012)). Each record
-takes one of four starts:
+takes one of two starts:
 
 - The closed form. On the standard settings the map from rho to the
   probabilities q is square and invertible, and the settings in
@@ -17,24 +17,20 @@ takes one of four starts:
   q_s = c_s / N_Z on those settings (N_Z their total count) and c_s / flux
   elsewhere. Where it is positive definite and every count is positive it
   is the MLE, and the gap certifies it with 0 Newton steps.
-- Interior Newton. On other informationally complete settings, where the
-  least-squares estimate is an interior state, the maximum usually lies
-  inside the state set too, and the solver starts there with plain Newton
-  steps on log L, which converge quadratically (Boyd and Vandenberghe,
-  Convex Optimization, 2004, sec. 9.5).
-- Factored. Where that estimate (the closed form on the standard
-  settings) has k positive eigenvalues and one <= 0, and every count is
-  positive, the maximum lies on the boundary of the state set. The solver
-  writes rho = A A^H / tr(A A^H) with A a d x k matrix, the T^H T form of
-  photonic MLE (James, Kwiat, Munro and White, PRA 64, 052312 (2001)) cut
-  to rank k as in Burer and Monteiro (Math. Program. 95, 329 (2003)), and
-  takes Newton steps in A from the estimate's top k eigenvectors scaled by
-  sqrt(lambda). k grows where the gradient off the face calls for it, and
-  shrinks where a column of A does.
-- The barrier path. Records with a zero count, on settings that are not
-  informationally complete, or whose interior or factored start does not
-  converge, take Newton steps on a log-det barrier path from I/d (Boyd and
-  Vandenberghe, ch. 11).
+- Factored. Every other record writes rho = A A^H / tr(A A^H) with A a
+  d x k matrix, the T^H T form of photonic MLE (James, Kwiat, Munro and
+  White, PRA 64, 052312 (2001)) cut to rank k as in Burer and Monteiro
+  (Math. Program. 95, 329 (2003)), and takes Newton steps in A from the
+  positive part of its estimate (the closed form on the standard
+  settings, the least-squares estimate elsewhere): its top k eigenvectors
+  scaled by sqrt(lambda), with k = d where the estimate is positive
+  definite. k grows where the gradient off the face calls for it, and
+  shrinks where a column of A does. A record whose estimate has no
+  positive eigenvalue, or whose positive part is orthogonal to a setting
+  with a count, starts at I/d with k = d. Where the settings with a count
+  do not see every direction (settings that are not informationally
+  complete, or zero counts), the Newton system can be singular, and the
+  step is then its least-norm solution.
 
 Error bars come from Monte Carlo resampling of the counts, the standard
 procedure for coincidence data, with every resample reconstructed by
@@ -47,13 +43,13 @@ gradient of the likelihood is sum_s w_s Pi_s = (w P) reshaped.
 
 The solver works on a stack of records that share one settings tuple (a
 sweep's records and their Monte Carlo resamples); one record is a stack of
-one. The stack is cut into chunks, grouped by start (closed form or
-interior, factored, barrier), so that records certified at their start do
-not wait on other records' rounds. Every unfinished record of a chunk takes
-a Newton step in each round, with one set of batched ``eigh``, ``solve``
-and ``eigvalsh`` calls for each kind of step in the chunk. Every product is
-taken per record, never across records, so a record's result is the same
-bit for bit alone or in any batch.
+one. The stack is cut into chunks, records with a positive definite
+estimate first, so that records certified at their start do not wait on
+other records' rounds. Every unfinished record of a chunk takes a Newton
+step in each round, with one set of batched ``eigh``, ``solve`` and
+``eigvalsh`` calls for the chunk. Every product is taken per record, never
+across records, so a record's result is the same bit for bit alone or in
+any batch.
 
 All randomness flows from explicit integer seeds; nothing reads ambient
 entropy, so every pipeline built on this module is reproducible bit for bit.
@@ -120,8 +116,6 @@ class _LinearMaps:
     # same real view, so b @ lin is the least-squares solution of
     # Tr(rho Pi_s) = b_s. kets: (S, d), row s the ket v_s of Pi_s = v_s v_s^H.
     # pairs: the index arrays (i, j) of the pairs i < j of a d x d matrix.
-    # diag: (d, d - 1), columns the diagonals of the orthonormal traceless
-    # diagonal generators (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)).
     # zset: the trace functional, tr rho = sum_s l_s q_s with l_s the real
     # trace of row s of lin as a d x d matrix, as the (S,) mask l_s = 1,
     # where S = rank = d*d and every l_s is 0 or 1 (the standard settings:
@@ -133,7 +127,6 @@ class _LinearMaps:
     lin: np.ndarray
     kets: np.ndarray
     pairs: tuple
-    diag: np.ndarray
     zset: np.ndarray | None
 
 
@@ -184,14 +177,10 @@ def _cached_maps(settings):
         zset = None
     pf, lin = p.view(np.float64), lin.view(np.float64)
     kets = np.array([_setting_ket(st) for st in settings])
-    k = np.arange(1, d)
-    diag = (np.triu(np.ones((d, d - 1))) - np.eye(d, d - 1, -1) * k) / np.sqrt(k * (k + 1))
     pairs = np.triu_indices(d, 1)
-    for arr in (pf, lin, kets, diag, *pairs):
+    for arr in (pf, lin, kets, *pairs):
         arr.flags.writeable = False
-    return _LinearMaps(
-        d=d, rank=rank, pf=pf, lin=lin, kets=kets, pairs=pairs, diag=diag, zset=zset
-    )
+    return _LinearMaps(d=d, rank=rank, pf=pf, lin=lin, kets=kets, pairs=pairs, zset=zset)
 
 
 def _linear_maps(settings):
@@ -420,6 +409,9 @@ def _fw_gap(pf, d, c, flux, q):
     # itself falls below one ulp of it
     n_total = c.sum(axis=-1)
     mean = flux * q.sum(axis=-1)
+    # a setting with c_s = 0 adds -flux Pi_s to G and nothing to the rounding
+    # bound, whatever its q_s
+    q = np.where(c > 0, q, 1.0)
     w = c / q - flux[..., None]
     grad = (w[..., None, :] @ pf).view(np.complex128).reshape(*w.shape[:-1], d, d)
     lam_max = np.linalg.eigvalsh(grad)[..., -1]
@@ -444,7 +436,9 @@ def _result(rho, q, gap, rec, ls, maps, iterations, converged, project=True):
 
 def _rotated_map(wk, iu, ju, g):
     # (..., S, d*d - 1): entry (s, k) is Tr(Pi_s U B_k U^H) = <w_s|B_k|w_s>,
-    # w_s = U^H v_s the rows of wk, for the basis B_k of _mle_batch
+    # w_s = U^H v_s the rows of wk, for the Hermitian B_k: (E_ij + E_ji)/sqrt2
+    # and i(E_ji - E_ij)/sqrt2 for the pairs i < j, then diag(g_k) for the
+    # columns g_k of g
     z = wk[..., iu]
     np.conjugate(z, out=z)
     z *= wk[..., ju]
@@ -453,38 +447,21 @@ def _rotated_map(wk, iu, ju, g):
     return a
 
 
-def _whitened_eigenvalues(lam, m):
-    # eigenvalues nu of W = lam^-1/2 m lam^-1/2, for a state rho = U diag(lam)
-    # U^H and a step U m U^H (one of each or stacks): rho + t U m U^H =
-    # U lam^1/2 (I + t W) lam^1/2 U^H is positive definite iff 1 + t nu_min > 0,
-    # and its log det exceeds log det rho by sum log1p(t nu)
-    s = 1.0 / np.sqrt(lam)
-    return np.linalg.eigvalsh(s[..., :, None] * m * s[..., None, :])
-
-
 # certified stop of the MLE: Frank-Wolfe gap <= MLE_TOL per count
 MLE_TOL = 1e-9
 # fraction of the Newton decrement a line-search step must gain (Armijo),
-# the halvings of the step tried before a record stays put for a step, and
-# the floor on 1 + t nu_min, nu the eigenvalues of the step whitened by rho:
-# a step keeps rho + t d_rho >= _BOUNDARY rho, a fraction 1 - _BOUNDARY of
-# the way to the boundary, so rounding cannot make rho singular
+# and the halvings of the step tried before a record stays put for a step
 _ARMIJO = 0.25
 _LINE_SEARCH_STEPS = 40
-_BOUNDARY = 0.01
-# factor by which mu falls once a record is near the barrier problem's maximum
-_MU_CUT = 30.0
 # records solved together; the Newton system takes about 150 KB per record
 _BATCH = 16
-# Newton steps a factored record takes before it restarts on the barrier path
-_FACTORED_STEPS = 45
 
 
 def mle_reconstruct(rec, max_iter=200):
     """Poisson maximum-likelihood reconstruction with an optimality certificate.
 
     Maximizes log L(rho) = sum_s c_s log(flux q_s) - flux sum_s q_s over
-    density matrices by Newton's method from one of four starts, chosen
+    density matrices by Newton's method from one of two starts, chosen
     from the record's own counts. N is the total count.
 
     - Closed form: on the standard settings (S = d^2, with a trace
@@ -494,55 +471,40 @@ def mle_reconstruct(rec, max_iter=200):
       count, and c_s / flux elsewhere; its gradient is (N_Z - flux) I. Where
       every count is positive and it is positive definite, it is the MLE,
       and the gap certifies it with 0 steps.
-    - Interior Newton: on other informationally complete settings, a record
-      whose counts are all positive and whose unprojected least-squares
-      estimate is positive definite starts there, taking plain Newton steps
-      on log L. If its line search takes a step shorter than 1, the maximum
-      may lie on the boundary, and it restarts on the barrier path.
-    - Factored: where every count is positive but that estimate (the closed
-      form on the standard settings) has k positive eigenvalues and one
-      <= 0, the record starts at its positive part,
-      rho = A A^H / tr(A A^H) with A the top k eigenvectors scaled by
-      sqrt(lambda), and takes Newton steps in A (James, Kwiat, Munro and
-      White, PRA 64, 052312 (2001); Burer and Monteiro, Math. Program. 95,
-      329 (2003)). The trapezoidal form of A, lower triangular in the
-      eigenbasis with a real diagonal orthogonal to sqrt(lambda), removes
-      the U(k) gauge and the scale, which leaves 2 d k - k^2 - 1 real
-      coordinates. The Newton system uses the analytic Hessian of log L in
-      A with the positive part of tau I - G, G the likelihood gradient and
-      tau = Tr(rho G), so that it is positive definite. Where the top
-      eigenvalue of G off the face exceeds tau by more than the Newton step
-      can gain, the record takes a mixing step toward that eigenvector and k
-      grows by 1; where the last column of A has shrunk below 1/100 of the
-      one before and adding it back would not ascend, it is dropped and k
-      falls by 1. A record not certified within 45 steps restarts on the
-      barrier path.
-    - Barrier path: records with a zero count or on settings that are not
-      informationally complete start at I/d with mu = N/d^2 and take Newton
-      steps on log L(rho) + mu log det rho (Boyd and Vandenberghe, Convex
-      Optimization, 2004, ch. 11) over rho + sum_k x_k B~_k, where the B~_k
-      are an orthonormal basis of the traceless Hermitian matrices taken in
-      the eigenbasis of rho, so the trace stays 1 and the barrier's Hessian
-      has a closed form. The barrier's Hessian is weighted by the mu the
-      iterate was centred for, the primal-dual scaling of Helmberg, Rendl,
-      Vanderbei and Wolkowicz (SIAM J. Optim. 6, 342 (1996)), so that the
-      eigenvalues headed for 0 follow a cut of mu in one full step. mu
-      falls thirtyfold whenever the squared Newton decrement is below
-      mu/2, that is near the maximum of the barrier problem, which lies at
-      most d mu below max log L.
+    - Factored: every other record starts at the positive part of its
+      estimate (the closed form on the standard settings, elsewhere the
+      unprojected least-squares estimate), rho = A A^H / tr(A A^H) with A
+      the top k eigenvectors scaled by sqrt(lambda), k = d where the
+      estimate is positive definite, and takes Newton steps in A (James,
+      Kwiat, Munro and White, PRA 64, 052312 (2001); Burer and Monteiro,
+      Math. Program. 95, 329 (2003)). A record whose estimate has no
+      positive eigenvalue, or whose start has q_s = 0, up to the rounding
+      of q, on a setting with a count, starts at I/d with k = d. The
+      trapezoidal form of A, lower triangular in the eigenbasis with a real
+      diagonal orthogonal to sqrt(lambda), removes the U(k) gauge and the
+      scale, which leaves 2 d k - k^2 - 1 real coordinates. The Newton
+      system uses the analytic Hessian of log L in A with the positive part
+      of tau I - G, G the likelihood gradient and tau = Tr(rho G), so that
+      it is positive definite where every count is positive on
+      informationally complete settings. Elsewhere the settings with a
+      count may not see every direction; where the system is singular to
+      within half the digits (a Cholesky pivot test), the step is its
+      least-norm solution. Where the top eigenvalue of G off the face
+      exceeds tau by more than the Newton step can gain, the record takes a
+      mixing step toward that eigenvector and k grows by 1; where the last
+      column of A has shrunk below 1/100 of the one before and adding it
+      back would not ascend, it is dropped and k falls by 1.
 
-    A restart keeps the steps already taken: they count toward
-    ``iterations`` and ``max_iter``. Every step is taken by a backtracking
-    line search that asks for a quarter of the predicted ascent, computed
-    from log1p of the relative probability changes (and, on the barrier
-    path, of the eigenvalues nu of the step whitened by rho), so that it
-    stays exact at high flux, where |log L| ~ 1e8, and needs no eigenvalues
-    of its trial states. On the barrier path it keeps rho positive definite
-    with a margin: 1 + t nu_min >= 0.01, the fraction-to-the-boundary rule.
-    If projected linear inversion (on informationally complete settings)
-    has a higher likelihood than the last iterate, it is returned instead;
-    a closed-form start still in place is the maximum over a superset of
-    the states, so there it is not tried.
+    Every step is taken by a backtracking line search that asks for a
+    quarter of the predicted ascent, computed from log1p of the relative
+    probability changes, so that it stays exact at high flux, where
+    |log L| ~ 1e8, and needs no eigenvalues of its trial states. A setting
+    with a zero count adds only -flux q_s to log L, so it takes no part in
+    the log terms or in the test q_s > 0. If projected linear inversion
+    (on informationally complete settings) has a higher likelihood than
+    the last iterate, it is returned instead; a closed-form start still in
+    place is the maximum over a superset of the states, so there it is not
+    tried.
 
     ``gap`` bounds the shortfall: max log L - log_likelihood <= gap. It is
     the Frank-Wolfe gap lambda_max(G) - Tr(rho G) of the likelihood gradient
@@ -564,21 +526,19 @@ def _mle_batch(recs, max_iter=200):
 
     Each record picks its start from its own counts, with one batched
     ``eigvalsh`` of the estimates (on the standard settings the closed-form
-    maximum, elsewhere the least-squares estimate): mu = 0 at the estimate
-    where it is an interior state, the factored chart at its positive part
-    where it is not, and I/d on the barrier path for records with a zero
-    count or on settings that are not informationally complete. The records
-    are solved in chunks of _BATCH, grouped by start in that order (stably),
-    so that a chunk of records certified at their start does not wait on
-    the others' rounds. Within a chunk every unfinished record takes its
-    Newton step in the same round, so one set of batched ``eigh``,
-    ``solve`` and ``eigvalsh`` calls serves each kind of step in the chunk,
-    and a record leaves the round when it is certified. An interior record
-    whose full step is refused, and a factored record not certified after
-    _FACTORED_STEPS steps, rejoin the barrier path from I/d in the next
-    round. All arithmetic is elementwise or one product per record, never a
-    product across records, so each result is bit for bit the same alone,
-    in any subset and in any order.
+    maximum, elsewhere the least-squares estimate): the estimate itself
+    with k = d where it is positive definite, its positive part where it is
+    not, and I/d with k = d where that part has no positive eigenvalue or
+    where the start leaves q_s = 0, up to rounding, on a setting with a
+    count. The records are solved in chunks of _BATCH, those with a
+    positive definite estimate first (stably), so that a chunk of records
+    certified at their start does not wait on the others' rounds. Within a
+    chunk every unfinished record takes its Newton step in the same round,
+    so one set of batched ``eigh``, ``solve`` and ``eigvalsh`` calls serves
+    the chunk, and a record leaves the round when it is certified. All
+    arithmetic is elementwise or one product per record, never a product
+    across records, so each result is bit for bit the same alone, in any
+    subset and in any order.
     """
     if not recs:
         return []
@@ -589,32 +549,30 @@ def _mle_batch(recs, max_iter=200):
     counts = np.array([r.counts for r in recs])
     flux = np.array([r.flux for r in recs])
     ls = _least_squares(maps, counts, flux)
-    # the starts (see mle_reconstruct), tested per record; q_s > 0 holds for
-    # a positive definite estimate, and is tested too in case rounding
-    # breaks it, and for the positive part, which can be orthogonal to a
-    # setting
+    # the starts (see mle_reconstruct), tested per record. A start must give
+    # q_s above the rounding of its product with pf (2 d^2 terms of at most
+    # 1) on every setting with a count: a positive part can be orthogonal to
+    # a setting, and rounding can leave an estimate positive definite whose
+    # q_s is 0 but for that rounding
     est = ls if maps.zset is None else _closed_form(maps, counts, flux)
-    complete = (maps.rank == d * d) & np.all(counts > 0, axis=-1)
-    interior = (
-        complete
-        & (np.linalg.eigvalsh(est)[:, 0] > 0.0)
-        & np.all(_probabilities(maps.pf, est) > 0.0, axis=-1)
+    definite = np.linalg.eigvalsh(est)[:, 0] > 0.0
+    start, rank = est.copy(), np.full(len(recs), d)
+    cand = np.flatnonzero(~definite)
+    start[cand], rank[cand] = _positive_part(est[cand])
+    ok = (rank > 0) & np.all(
+        (_probabilities(maps.pf, start) > maps.pf.shape[1] * _EPS) | (counts == 0.0), axis=-1
     )
-    start = np.where(interior[:, None, None], est, np.eye(d) / d)
-    rank = np.zeros(len(recs), dtype=int)
-    cand = np.flatnonzero(complete & ~interior)
-    part, k = _positive_part(est[cand])
-    fac = np.all(_probabilities(maps.pf, part) > 0.0, axis=-1)
-    start[cand[fac]], rank[cand[fac]] = part[fac], k[fac]
-    order = np.argsort(np.where(interior, 0, np.where(rank > 0, 1, 2)), kind="stable")
+    start[~ok], rank[~ok] = np.eye(d) / d, d
+    definite &= ok
+    order = np.argsort(~definite, kind="stable")
     # a closed-form start still in place is the maximum over a superset of
     # the states, so projected linear inversion cannot beat it
-    at_max = interior & (maps.zset is not None)
+    at_max = definite & (maps.zset is not None) & np.all(counts > 0, axis=-1)
     results = [None] * len(recs)
     for lo in range(0, len(recs), _BATCH):
         idx = order[lo : lo + _BATCH]
         rho, q, gap, iterations, converged = _newton(
-            maps, counts[idx], flux[idx], start[idx], interior[idx], rank[idx], max_iter
+            maps, counts[idx], flux[idx], start[idx], rank[idx], max_iter
         )
         for j, n in enumerate(idx):
             results[n] = _result(
@@ -627,10 +585,11 @@ def _mle_batch(recs, max_iter=200):
 def _positive_part(est):
     # the factored start of each estimate in a stack: rho = A A^H / tr(A A^H),
     # with A its eigenvectors of positive eigenvalue scaled by sqrt(lambda),
-    # and k, the number of those
+    # and k, the number of those (rho is 0 where k = 0)
     lam, u = np.linalg.eigh(est)
     lam = np.maximum(lam, 0.0)
-    rho = (u * (lam / lam.sum(axis=-1, keepdims=True))[:, None, :]) @ u.conj().mT
+    total = lam.sum(axis=-1, keepdims=True)
+    rho = (u * (lam / np.where(total > 0.0, total, 1.0))[:, None, :]) @ u.conj().mT
     return 0.5 * (rho + rho.conj().mT), np.count_nonzero(lam, axis=-1)
 
 
@@ -639,25 +598,21 @@ def _closed_form(maps, counts, flux):
     # with a 0/1 trace functional (maps.zset), of one record or a stack: with
     # N_Z the count on zset, stationarity under tr rho = sum_zset q_s = 1 gives
     # q_s = c_s / N_Z on zset and c_s / flux elsewhere, and rho = P^-1 q. A
-    # record with N_Z = 0 has a zero count, so it does not start here; its
-    # N_Z is replaced by 1 only to keep the division finite
+    # record with N_Z = 0 has zero counts on zset, so it is never certified
+    # here; its N_Z is replaced by 1 to keep the division finite, which
+    # leaves a trace-0 estimate whose positive part is the record's start
     n_z = counts[..., maps.zset].sum(axis=-1)
     n_z = np.where(n_z > 0, n_z, 1.0)[..., None]
     return _inverse(maps, counts / np.where(maps.zset, n_z, np.asarray(flux)[..., None]))
 
 
-def _newton(maps, counts, flux, rho, interior, rank, max_iter):
-    # the Newton rounds of _mle_batch on one chunk, from the starts rho:
-    # interior ones with mu = 0, factored ones (rank k > 0) in the factored
-    # chart, the rest on the barrier path; returns the last iterates, their
-    # q, gaps, step counts and convergence. rho, interior and rank are the
-    # chunk's own copies
+def _newton(maps, counts, flux, rho, rank, max_iter):
+    # the Newton rounds of _mle_batch on one chunk, from the starts rho of
+    # rank k in the factored chart; returns the last iterates, their q, gaps,
+    # step counts and convergence. rho and rank are the chunk's own copies
     pf, d = maps.pf, maps.d
     n_total = counts.sum(axis=-1)
     q = _probabilities(pf, rho)
-    mu_path = n_total / (d * d)
-    mu = np.where(interior, 0.0, mu_path)
-    mu_h = mu.copy()
     gap = np.zeros(len(counts))
     iterations = np.zeros(len(counts), dtype=int)
     live = np.flatnonzero(n_total > 0)
@@ -667,95 +622,11 @@ def _newton(maps, counts, flux, rho, interior, rank, max_iter):
         if it == max_iter or not live.size:
             break
         iterations[live] = it + 1
-        # a factored record not certified in _FACTORED_STEPS steps restarts
-        # on the barrier path from I/d, where its mu has stayed mu_path
-        back = live[(rank[live] > 0) & (it == _FACTORED_STEPS)]
-        rho[back], rank[back] = np.eye(d) / d, 0
-        q[back] = _probabilities(pf, rho[back])
-        fac = live[rank[live] > 0]
-        rho[fac], rank[fac] = _factored_step(
-            maps, counts[fac], flux[fac], q[fac], rho[fac], rank[fac]
+        rho[live], rank[live] = _factored_step(
+            maps, counts[live], flux[live], q[live], rho[live], rank[live]
         )
-        bar = live[rank[live] == 0]
-        _barrier_step(maps, counts, flux, q, rho, interior, mu, mu_h, mu_path, bar)
         q[live] = _probabilities(pf, rho[live])
     return rho, q, gap, iterations, gap <= MLE_TOL * n_total
-
-
-def _barrier_step(maps, counts, flux, q, rho, interior, mu, mu_h, mu_path, live):
-    # one Newton step of each record live on the barrier path or at mu = 0
-    # from its interior start, in place on rho, interior, mu and mu_h
-    if not live.size:
-        return
-    pf, kets, g, d = maps.pf, maps.kets, maps.diag, maps.d
-    iu, ju = maps.pairs
-    # coordinates 0 .. n_off - 1 are the pairs i < j, the rest the diagonal
-    n_off = 2 * iu.size
-    c, fl, ql = counts[live], flux[live], q[live]
-    w = c / ql
-    rl, ml, hl, k = rho[live], mu[live], mu_h[live], live.size
-
-    # Newton step of log L + mu log det rho over rho + U (sum_k x_k B_k) U^H,
-    # rho = U diag(lam) U^H, in the orthonormal traceless basis B_k:
-    # (E_ij + E_ji)/sqrt2 and i(E_ji - E_ij)/sqrt2 for the pairs i < j,
-    # then diag(g_k). There q moves by a x (_rotated_map), the barrier's
-    # gradient Tr(rho^-1 B~_k) is 0 on the pairs and g^T (1/lam) on the
-    # diagonal, and its Hessian Tr(rho^-1 B~_k rho^-1 B~_l) is diagonal,
-    # 1/(lam_i lam_j) on the pairs, but for the diagonal's block
-    # g^T diag(1/lam^2) g. The gradient takes mu, the Hessian mu_h, the mu
-    # rho was centred for (the last step's): the primal-dual scaling
-    # Z = mu_h rho^-1. After mu falls by _MU_CUT, a full step then takes an
-    # eigenvalue headed for 0 from lam to about lam / _MU_CUT
-    lam, u = np.linalg.eigh(rl)
-    a = _rotated_map(kets @ u.conj(), iu, ju, g)
-    inv_lam = 1.0 / lam
-    grad = (a.mT @ (w - fl[:, None])[..., None])[..., 0]
-    grad[:, n_off:] += ml[:, None] * (inv_lam[:, None, :] @ g)[:, 0]
-    a *= (np.sqrt(c) / ql)[..., None]
-    hess = a.mT @ a
-    pairs = np.arange(n_off)
-    hess[:, pairs, pairs] += hl[:, None] * np.tile(inv_lam[:, iu] * inv_lam[:, ju], 2)
-    hess[:, n_off:, n_off:] += hl[:, None, None] * (g.T @ (inv_lam[..., None] ** 2 * g))
-    step = np.linalg.solve(hess, grad[..., None])[..., 0]
-    decrement = np.vecdot(grad, step)
-    m = np.zeros((k, d, d), dtype=complex)
-    m[:, iu, ju] = np.sqrt(0.5) * (step[:, : iu.size] - 1j * step[:, iu.size : n_off])
-    m[:, ju, iu] = m[:, iu, ju].conj()
-    m[:, range(d), range(d)] = (g @ step[:, n_off:, None])[..., 0]
-    d_rho = u @ m @ u.conj().mT
-    d_rho = 0.5 * (d_rho + d_rho.conj().mT)
-    dq = _probabilities(pf, d_rho)
-    nu = _whitened_eigenvalues(lam, m)
-    mu_h[live] = ml
-    mu[live] = np.where(decrement < 0.5 * ml, ml / _MU_CUT, ml)
-
-    # backtracking: step t = 1, 1/2, ... until rho keeps a fraction of
-    # its distance to the boundary, 1 + t nu_min >= _BOUNDARY, and the
-    # gain reaches _ARMIJO * t * decrement. A record from the interior
-    # start that does not take t = 1 goes back to the barrier path: its
-    # maximum may lie on the boundary, where plain Newton slows down
-    todo = np.arange(k)
-    for j in range(_LINE_SEARCH_STEPS):
-        t = 0.5**j
-        r = t * dq[todo] / ql[todo]
-        ok = (1.0 + t * nu[todo, 0] >= _BOUNDARY) & np.all(r > -1.0, axis=-1)
-        i = todo[ok]
-        gain = (
-            np.vecdot(c[i], np.log1p(r[ok]))
-            - t * fl[i] * dq[i].sum(axis=-1)
-            + ml[i] * np.log1p(t * nu[i]).sum(axis=-1)
-        )
-        good = gain >= _ARMIJO * t * decrement[i]
-        rho[live[i[good]]] = rl[i[good]] + t * d_rho[i[good]]
-        ok[ok] = good
-        todo = todo[~ok]
-        if j == 0:
-            inner = interior[live[todo]]
-            back, todo = live[todo[inner]], todo[~inner]
-            rho[back], interior[back] = np.eye(d) / d, False
-            mu[back] = mu_h[back] = mu_path[back]
-        if not todo.size:
-            break
 
 
 def _factored_step(maps, c, fl, ql, rl, k):
@@ -774,9 +645,12 @@ def _factored_step(maps, c, fl, ql, rl, k):
     # 2 sqrt(lam), and log L has the Hessian
     # -J^T diag(c / q^2) J - 2 Re tr(D^H (tau I - G) D), G the likelihood
     # gradient and tau = Tr(rho G). The system takes the positive part of
-    # tau I - G, so it is positive definite; near a maximum with strict
+    # tau I - G, so it is positive definite where the settings with a count
+    # see every direction; near a maximum with strict
     # complementarity tau I - G is positive semidefinite off the face and
-    # small on it, and the step stays Newton's
+    # small on it, and the step stays Newton's. A setting with c_s = 0 adds
+    # only -flux q_s to log L: it has no log term, no curvature and no
+    # bound q_s > 0, so each c / q below reads 1 for its q
     if not len(c):
         return rl, k
     kets, d = maps.kets, maps.d
@@ -784,6 +658,7 @@ def _factored_step(maps, c, fl, ql, rl, k):
     n_pair, n = iu.size, len(c)
     rows = np.arange(n)
     n_total = c.sum(axis=-1)
+    seen = c > 0
     lam, u = np.linalg.eigh(rl)
     lam, u = lam[:, ::-1], u[:, :, ::-1]
     lam = np.where(np.arange(d) < k[:, None], np.maximum(lam, 0.0), 0.0)
@@ -797,16 +672,17 @@ def _factored_step(maps, c, fl, ql, rl, k):
     lk = lam[rows, k - 1]
     qk = np.abs(wk[rows, :, k - 1]) ** 2
     q0 = (ql - lk[:, None] * qk) / np.where(k > 1, 1.0 - lk, 1.0)[:, None]
-    drop = (k > 1) & (lk < 0.01 * lam[rows, k - 2]) & np.all(q0 > 0.0, axis=-1)
-    w0 = c / np.where(drop[:, None], q0, 1.0) - fl[:, None]
+    drop = (k > 1) & (lk < 0.01 * lam[rows, k - 2]) & np.all((q0 > 0.0) | ~seen, axis=-1)
+    w0 = c / np.where(drop[:, None] & seen, q0, 1.0) - fl[:, None]
     drop &= np.vecdot(w0, qk - q0) <= 0.0
     k = k - drop
     face = np.arange(d) < k[:, None]
     lam = np.where(face, lam, 0.0)
     lam /= lam.sum(axis=-1, keepdims=True)
     ql = np.where(drop[:, None], q0, ql)
+    qc = np.where(seen, ql, 1.0)
     sq = np.sqrt(lam)
-    w = c / ql - fl[:, None]
+    w = c / qc - fl[:, None]
     tau = n_total - fl * ql.sum(axis=-1)
     grad_m = (wk.mT * w[:, None, :]) @ wk.conj()
     grad_m = 0.5 * (grad_m + grad_m.conj().mT)
@@ -834,7 +710,7 @@ def _factored_step(maps, c, fl, ql, rl, k):
     kd = kp[:, ju, iu, None] * hd[:, iu, :]
     on = iu < k[:, None]
     active = np.concatenate([on, on, np.arange(1, d) < k[:, None]], axis=-1)
-    a_w = a * (np.sqrt(c) / ql)[..., None]
+    a_w = a * (np.sqrt(c) / qc)[..., None]
     hess = a_w.mT @ a_w
     hess[:, pre, pre] += kc.real
     hess[:, pim, pim] += kc.real
@@ -847,7 +723,17 @@ def _factored_step(maps, c, fl, ql, rl, k):
     hess[:, dia, dia] += hd.mT @ (kp.diagonal(axis1=1, axis2=2).real[:, :, None] * hd)
     diag = np.arange(hess.shape[-1])
     hess[:, diag, diag] += ~active
-    step = np.linalg.solve(hess, grad[..., None])[..., 0] * active
+    # where the counted settings do not see every direction (settings that
+    # are not informationally complete, or a zero count), hess can be
+    # singular: the step there is its least-norm solution
+    blind = np.flatnonzero((maps.rank < d * d) | ~np.all(seen, axis=-1))
+    least = [i for i in blind if _ill_conditioned(hess[i])]
+    h_least = hess[least]
+    hess[least] = np.eye(hess.shape[-1])
+    step = np.linalg.solve(hess, grad[..., None])[..., 0]
+    if least:
+        step[least] = (np.linalg.pinv(h_least, hermitian=True) @ grad[least, :, None])[..., 0]
+    step *= active
     decrement = np.vecdot(grad, step)
     dm = np.zeros((n, d, d), dtype=complex)
     dm[:, ju, iu] = step[:, pre] + 1j * step[:, pim]
@@ -867,7 +753,7 @@ def _factored_step(maps, c, fl, ql, rl, k):
     slope_off, uo = g[:, -1] - tau, uo[:, :, -1]
     z = wk @ uo.conj()[..., None]
     qu = (z.real**2 + z.imag**2)[..., 0]
-    curv_off = np.vecdot(c, (qu - ql) ** 2 / ql**2)
+    curv_off = np.vecdot(c, (qu - ql) ** 2 / qc**2)
     add = (slope_off > 0.0) & (curv_off > 0.0) & (slope_off**2 > curv_off * decrement)
     eps = np.where(add, np.minimum(slope_off / np.where(add, curv_off, 1.0), 0.5), 0.0)
 
@@ -884,7 +770,7 @@ def _factored_step(maps, c, fl, ql, rl, k):
     for j in range(_LINE_SEARCH_STEPS):
         t = 0.5**j
         num = t * x1[todo] + t * t * x2[todo]
-        r = num / ql[todo]
+        r = np.where(seen[todo], num / qc[todo], 0.0)
         ok = np.all(r > -1.0, axis=-1)
         i = todo[ok]
         tt = t * t * y2[i]
@@ -909,6 +795,18 @@ def _factored_step(maps, c, fl, ql, rl, k):
     moved = (t_step > 0.0) | drop
     rl = np.where(moved[:, None, None], 0.5 * (new + new.conj().mT), rl)
     return rl, k + (add & (t_step > 0.0))
+
+
+def _ill_conditioned(h):
+    # whether the symmetric matrix h is not positive definite or has a
+    # Cholesky pivot^2 below sqrt(eps) of its largest diagonal entry; a pivot^2
+    # is at least its smallest eigenvalue, so its condition number then
+    # exceeds 1/sqrt(eps), and solve would keep less than half the digits
+    try:
+        pivots = np.linalg.cholesky(h).diagonal() ** 2
+    except np.linalg.LinAlgError:
+        return True
+    return bool(pivots.min() <= np.sqrt(_EPS) * h.diagonal().max())
 
 
 def _resample(rec, seed):

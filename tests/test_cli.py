@@ -240,6 +240,22 @@ def test_tomo_subcommand(tmp_path, capsys):
     assert line in out2
 
 
+def test_tomo_counts_at_another_flux_exit_0_unconverged(tmp_path, capsys):
+    # counts simulated at flux 1e3 and loaded with a flux header of 1e9 run
+    # without a numpy warning (pytest makes one an error) and report the
+    # certificate they reached
+    counts = tmp_path / "counts.txt"
+    argv = ["tomo", "--t", "1", "--alpha", "pi", "--flux", "1000", "--seed", "0"]
+    assert main(argv + ["--save-counts", str(counts)]) == 0
+    text = counts.read_text().replace("# flux = 1000.0", "# flux = 1000000000.0")
+    assert "# flux = 1000000000.0" in text
+    counts.write_text(text)
+    capsys.readouterr()
+    assert main(["tomo", "--t", "1", "--alpha", "pi", "--load-counts", str(counts)]) == 0
+    out = capsys.readouterr().out
+    assert "flux = 1000000000.0" in out and "converged = False" in out
+
+
 def test_tomo_requires_exactly_one_point(capsys):
     assert main(["tomo"]) == 1
     assert main(["tomo", "--t", "1.0", "--p", "0.5"]) == 1
