@@ -23,6 +23,7 @@ function for an out-of-domain argument), 2 any other failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -105,7 +106,8 @@ def _config_from_file(path):
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = {"alpha", "p_grid", "t_grid", "flux", "mc_samples", "seed", "tomography_enabled"}
+    # every SweepConfig field but workers, which the CLI does not set
+    known = {f.name for f in dataclasses.fields(SweepConfig)} - {"workers"}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -135,12 +137,9 @@ def _build_sweep_config(args):
         fields["t_grid"] = parse_grid(args.t_grid)
         if args.p_grid is None:
             fields["p_grid"] = None
-    if args.flux is not None:
-        fields["flux"] = args.flux
-    if args.mc_samples is not None:
-        fields["mc_samples"] = args.mc_samples
-    if args.seed is not None:
-        fields["seed"] = args.seed
+    for key in ("flux", "mc_samples", "seed"):
+        if getattr(args, key) is not None:
+            fields[key] = getattr(args, key)
     if args.tomography:
         fields["tomography_enabled"] = True
     return SweepConfig(**fields)
@@ -166,7 +165,8 @@ def _cmd_spectrum(args):
     g = parse_graph(args.graph) if args.graph else CHAIN
     report = verify_spectrum(g, gap=args.gap)
     print(f"graph: {g.n_vertices} vertices, {len(g.edges)} edges")
-    print(f"levels: {[round(e, 12) for e in report.levels]}")
+    # + 0.0 turns a level that rounds to -0.0 into 0.0
+    print(f"levels: {[round(e, 12) + 0.0 for e in report.levels]}")
     print(f"multiplicities: {list(report.multiplicities)}")
     print(f"ground state unique: {report.ground_unique}")
     print(f"gap matches {args.gap}: {report.gap_matches}")

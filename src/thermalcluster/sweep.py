@@ -13,7 +13,9 @@ and the classification thresholds replaced by those error bars.
 A tomography sweep first draws every count record it needs, each point's
 record followed by its Monte Carlo resamples, and then solves them all in
 one batched maximum-likelihood call, in which every record takes its Newton
-steps alongside the others and gets the result it would get alone.
+steps alongside the others and gets the result it would get alone. Every
+quantity, error bars included, stays an array column over the points until
+the last step, which builds one SweepPoint per row.
 
 Output is deterministic byte for byte for a fixed config: all randomness is
 seeded, points are ordered by grid index, and emitted files carry no
@@ -39,7 +41,7 @@ from .thermal import (
     temperature_from_p,
     thermal_state_model,
 )
-from .tomography import _mle_batch, _resample, simulate_counts, standard_settings
+from .tomography import _mle_batch, _resamples, simulate_counts, standard_settings
 
 # not called here; the benchmark's tracer test still looks the solver up in
 # this namespace (perfbench/test_perfbench.py)
@@ -161,32 +163,27 @@ def _grid_points(cfg):
 
 
 def _preparation_fidelities(rhos):
-    # of each state of a C-contiguous stack, taken row by row: the vdot of a
-    # contiguous row gives the bits of average_preparation_fidelity without
-    # its check per row, as the states are model states or negativity has
-    # checked the whole stack
+    # Tr(rho W) of each state of a stack, as one vecdot over the flattened
+    # states: it conjugates its first argument as vdot does and gives the
+    # bits of average_preparation_fidelity without its check per state, as
+    # the states are model states or negativity has checked the whole stack
     w = _preparation_operator()
-    return np.array([np.vdot(w, rho).real for rho in rhos])
+    return np.vecdot(w.reshape(-1), rhos.reshape(len(rhos), -1)).real
 
 
 def _rows(pts, negs, fids, errs, ideal):
-    # errs: per point, the error bars of the three negativities and of the
-    # preparation fidelity, zero for model rows; ideal: the fidelities
-    # against the Gibbs states
-    rows = []
-    for (p, t), neg, fid, err, f in zip(pts, negs, fids, errs, ideal):
-        # classification significance at one Monte Carlo standard deviation
-        tols = [max(e, DEFAULT_TOL) for e in err[:3]]
-        rows.append(SweepPoint(
-            p=p, t_over_delta=t,
-            neg_ap=float(neg[0]), neg_bp=float(neg[1]), neg_bs=float(neg[2]),
-            err_ap=float(err[0]), err_bp=float(err[1]), err_bs=float(err[2]),
-            klass=classify_values(neg, tols),
-            avg_fidelity=float(fid),
-            fid_error=float(err[3]),
-            state_fidelity_vs_ideal=float(f),
-        ))
-    return rows
+    # negs: (n, 3) in _CUTS order; errs: (n, 4), the error bars of the
+    # negativities and of the preparation fidelity, zero for model rows;
+    # fids, ideal: (n,), the preparation fidelities and the fidelities to the
+    # Gibbs states. A row of cols holds SweepPoint's fields from neg_ap on
+    # but klass, as Python floats; a row is classified at one Monte Carlo
+    # standard deviation
+    cols = np.column_stack([negs, errs[:, :3], fids, errs[:, 3], ideal]).tolist()
+    tols = np.maximum(errs[:, :3], DEFAULT_TOL).tolist()
+    return [
+        SweepPoint(p, t, *c[:6], classify_values(c[:3], tol), *c[6:])
+        for (p, t), c, tol in zip(pts, cols, tols)
+    ]
 
 
 def run_sweep(cfg):
@@ -211,20 +208,17 @@ def run_sweep(cfg):
     for i, model in enumerate(models):
         point_seed = cfg.seed + i * _SEED_STRIDE
         rec = simulate_counts(model, settings, cfg.flux, seed=point_seed)
-        recs.append(rec)
-        recs += [_resample(rec, point_seed + 1 + k) for k in range(cfg.mc_samples)]
+        recs += [rec] + _resamples(rec, point_seed + 1, cfg.mc_samples)
     # each point's reconstruction followed by those of its resamples
     rhos = np.stack([res.rho for res in _mle_batch(recs)])
-    # one column per cut, in _CUTS order
-    negs = np.stack([negativity(rhos, c) for c in _CUTS], axis=-1)
-    fids = _preparation_fidelities(rhos)
+    # per reconstruction: the negativities in _CUTS order, then the
+    # preparation fidelity; per point: its record's values, then its
+    # resamples' spread
     n = 1 + cfg.mc_samples
-    errs = [
-        np.std(np.column_stack([negs[i + 1 : i + n], fids[i + 1 : i + n]]), axis=0, ddof=1)
-        for i in range(0, len(rhos), n)
-    ]
+    vals = np.column_stack([negativity(rhos, c) for c in _CUTS] + [_preparation_fidelities(rhos)])
+    vals = vals.reshape(len(pts), n, 4)
     ideal = fidelity(rhos[::n], gibbs_state(CHAIN, np.array([t for _, t in pts])))
-    return _rows(pts, negs[::n], fids[::n], errs, ideal)
+    return _rows(pts, vals[:, 0, :3], vals[:, 0, 3], np.std(vals[:, 1:], axis=1, ddof=1), ideal)
 
 
 def _cells(pt):

@@ -63,7 +63,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import KETS, ConfigError, _check_integer, _check_nonnegative, _is_real, _states
+from .linalg import (
+    KETS,
+    ConfigError,
+    _check_integer,
+    _check_nonnegative,
+    _float_or_stack,
+    _is_real,
+    _states,
+)
 
 __all__ = [
     "STANDARD_ALPHABET",
@@ -651,8 +659,6 @@ def _factored_step(maps, c, fl, ql, rl, k):
     # small on it, and the step stays Newton's. A setting with c_s = 0 adds
     # only -flux q_s to log L: it has no log term, no curvature and no
     # bound q_s > 0, so each c / q below reads 1 for its q
-    if not len(c):
-        return rl, k
     kets, d = maps.kets, maps.d
     iu, ju = maps.pairs
     n_pair, n = iu.size, len(c)
@@ -809,10 +815,18 @@ def _ill_conditioned(h):
     return bool(pivots.min() <= np.sqrt(_EPS) * h.diagonal().max())
 
 
-def _resample(rec, seed):
-    # counts ~ Poisson(mean = observed counts), from its own generator
-    counts = np.random.default_rng(seed).poisson(rec.counts).astype(float)
-    return CountRecord(settings=rec.settings, counts=counts, flux=rec.flux, seed=seed)
+def _resamples(rec, seed, n):
+    # n records with counts ~ Poisson(mean = observed counts); record k
+    # draws from its own generator, seeded with seed + k
+    return [
+        CountRecord(
+            settings=rec.settings,
+            counts=np.random.default_rng(seed + k).poisson(rec.counts).astype(float),
+            flux=rec.flux,
+            seed=seed + k,
+        )
+        for k in range(n)
+    ]
 
 
 def monte_carlo_statistic(rec, statistic, n_samples, seed):
@@ -821,18 +835,20 @@ def monte_carlo_statistic(rec, statistic, n_samples, seed):
     The usual error-bar procedure for counting experiments: resample every
     count from a Poisson distribution centered on the observed value,
     reconstruct each resample by maximum likelihood, and evaluate the
-    statistic. Returns (mean, sample std). Sample k draws its counts from
-    the generator seeded with seed + k, and all samples are solved in one
-    ``_mle_batch``, in which no state depends on the others.
+    statistic. Returns (mean, sample std). The statistic may return a
+    number, giving two floats, or a 1-D array, giving two arrays taken
+    entry by entry, so several statistics share one set of reconstructions.
+    Sample k draws its counts from the generator seeded with seed + k, and
+    all samples are solved in one ``_mle_batch``, in which no state depends
+    on the others.
     """
     _check_integer("n_samples", n_samples)
     if n_samples < 2:
         raise ConfigError("need at least 2 samples for a standard deviation")
     _check_nonnegative("seed", seed)
-    samples = [_resample(rec, seed + k) for k in range(n_samples)]
     try:
-        results = _mle_batch(samples)
+        results = _mle_batch(_resamples(rec, seed, n_samples))
     except Exception as exc:
         raise RuntimeError("reconstruction of the resamples failed") from exc
-    vals = [float(statistic(res.rho)) for res in results]
-    return float(np.mean(vals)), float(np.std(vals, ddof=1))
+    vals = np.array([statistic(res.rho) for res in results], dtype=float)
+    return _float_or_stack(np.mean(vals, axis=0)), _float_or_stack(np.std(vals, axis=0, ddof=1))

@@ -217,6 +217,16 @@ def test_spectrum_subcommand(capsys):
     assert main(["spectrum", "--graph", "4; 0-1,1-2,2-3", "--gap", "0.5"]) == 0
 
 
+def test_spectrum_prints_zero_levels_unsigned(capsys):
+    # the middle level of an even chain rounds to -0.0 and is printed 0.0
+    for graph, levels in (
+        ("4; 0-1,1-2,2-3", "[-2.0, -1.0, 0.0, 1.0, 2.0]"),
+        ("6; 0-1,1-2,2-3,3-4,4-5", "[-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]"),
+    ):
+        assert main(["spectrum", "--graph", graph]) == 0
+        assert f"levels: {levels}\n" in capsys.readouterr().out
+
+
 def test_spectrum_rejects_bad_graph_string(capsys):
     assert main(["spectrum", "--graph", "3; 0-0"]) == 1
     assert "error:" in capsys.readouterr().err

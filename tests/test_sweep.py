@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -338,6 +339,20 @@ def test_tomography_errors_populated():
     for err in (pt.err_ap, pt.err_bp, pt.err_bs, pt.fid_error):
         assert err > 0
     assert 0.0 <= pt.state_fidelity_vs_ideal <= 1.0
+
+
+@pytest.mark.parametrize("tomography", [False, True])
+def test_rows_hold_python_floats_and_a_class_name(tomography):
+    # the rows are built from array columns; every field but klass is a
+    # Python float, as the tables and SweepPoint equality expect
+    cfg = SweepConfig(
+        t_grid=(0.0, 0.5, 1.8, float("inf")), alpha=0.84 * np.pi,
+        tomography_enabled=tomography, flux=2e3, mc_samples=3, seed=2,
+    )
+    for pt in run_sweep(cfg):
+        for field in dataclasses.fields(SweepPoint):
+            v = getattr(pt, field.name)
+            assert type(v) is (str if field.name == "klass" else float), (field.name, v)
 
 
 def test_tomography_rows_converge_to_model_rows():

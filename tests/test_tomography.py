@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from thermalcluster.entanglement import negativity
 from thermalcluster.graphs import Graph, linear_graph
 from thermalcluster.linalg import KETS, validate_density_matrix
 from thermalcluster.sweep import _SEED_STRIDE
@@ -19,7 +20,7 @@ from thermalcluster.tomography import (
     _mle_batch,
     _newton,
     _positive_part,
-    _resample,
+    _resamples,
     expected_probabilities,
     linear_inversion,
     mle_reconstruct,
@@ -235,7 +236,7 @@ def test_monte_carlo_seed_indexing():
 
     def samples(n, seed):
         # as monte_carlo_statistic draws and solves them
-        return [res.rho for res in _mle_batch([_resample(rec, seed + k) for k in range(n)])]
+        return [res.rho for res in _mle_batch(_resamples(rec, seed, n))]
 
     mle_a = samples(3, seed=10)
     mle_b = samples(2, seed=11)
@@ -253,6 +254,20 @@ def test_monte_carlo_statistic_deterministic():
     b = monte_carlo_statistic(rec, stat, 6, seed=7)
     assert a == b
     assert a[1] > 0
+
+
+def test_monte_carlo_statistic_of_an_array_is_the_scalar_statistics():
+    # a statistic returning several numbers gives, entry by entry, the
+    # scalar calls' mean and std from the same reconstructions; a column sum
+    # may add the terms in another order
+    rec = simulate_counts(model_state(0.5), standard_settings(3), 2e3, seed=4)
+    cuts = ((0,), (1,), (2,))
+    mean, std = monte_carlo_statistic(rec, lambda r: [negativity(r, c) for c in cuts], 5, seed=7)
+    assert mean.shape == std.shape == (3,)
+    for c, m, s in zip(cuts, mean, std):
+        m1, s1 = monte_carlo_statistic(rec, lambda r: negativity(r, c), 5, seed=7)
+        assert type(m1) is float and type(s1) is float
+        assert abs(m - m1) <= 1e-15 and abs(s - s1) <= 1e-15
 
 
 def test_monte_carlo_statistic_needs_two_samples():
@@ -641,7 +656,7 @@ def test_mle_step_counts_on_tomo_sweep_records():
         for i, model in enumerate(models):
             point_seed = seed + i * _SEED_STRIDE
             rec = simulate_counts(model, settings, 2e3, seed=point_seed)
-            recs += [rec] + [_resample(rec, point_seed + 1 + k) for k in range(4)]
+            recs += [rec] + _resamples(rec, point_seed + 1, 4)
         results = _mle_batch(recs)
         assert all(res.converged for res in results)
         steps += [res.iterations for res in results]
