@@ -44,6 +44,9 @@ _CUTS = ((0,), (1,), (2,))
 PPT_ALL = "PPT_ALL"
 BOUND = "BOUND"
 FREE = "FREE"
+# indexed by how many of "some cut lies above its tolerance" and "every cut
+# does" hold
+_LABELS = (PPT_ALL, BOUND, FREE)
 
 
 class BracketingError(RuntimeError):
@@ -77,15 +80,14 @@ class EntanglementReport:
 def classify_values(negs, tols):
     """Threshold-pattern rule shared by model states and reconstructions.
 
-    ``negs`` and ``tols`` are parallel sequences (one tolerance per cut, so
-    Monte Carlo error bars can stand in for a global tolerance).
+    ``negs`` holds the negativities of one state along its last axis, or
+    rows of them (..., 3); ``tols`` broadcasts against it, one tolerance per
+    cut or per value, so Monte Carlo error bars can stand in for a global
+    tolerance. One row gives one label, rows give a list of labels: PPT_ALL
+    where no value exceeds its tolerance, FREE where all do, else BOUND.
     """
-    above = [v > t for v, t in zip(negs, tols)]
-    if not any(above):
-        return PPT_ALL
-    if all(above):
-        return FREE
-    return BOUND
+    above = np.greater(negs, tols)
+    return np.array(_LABELS)[above.any(axis=-1).astype(int) + above.all(axis=-1)].tolist()
 
 
 def classify(rho):
@@ -95,10 +97,10 @@ def classify(rho):
     The PPT_ALL label is a separability candidate only: a positive partial
     transpose across every cut does not prove the state separable.
     """
-    rho, _ = _states(rho, d=8)
+    rho, _ = _states(rho, d=8, stack=False)
     negs = {c: negativity(rho, c) for c in _CUTS}
     return EntanglementReport(
-        negativities=negs, klass=classify_values(list(negs.values()), [DEFAULT_TOL] * 3)
+        negativities=negs, klass=classify_values(list(negs.values()), DEFAULT_TOL)
     )
 
 
@@ -155,13 +157,7 @@ def transition_points(alpha, tol=DEFAULT_TOL):
     if s != 1.0:
         ys = (min(1.0, r * (2.0 - r) / s) for r in roots)
         roots = [y / (1.0 + math.sqrt(1.0 - y)) for y in ys]
-    p_end, p_mid = roots
-    return TransitionPoints(
-        p_free_to_bound=p_end,
-        p_bound_to_ppt=p_mid,
-        t_free_to_bound=temperature_from_p(p_end),
-        t_bound_to_ppt=temperature_from_p(p_mid),
-    )
+    return TransitionPoints(*roots, *temperature_from_p(np.array(roots)).tolist())
 
 
 def _chain_negativities(p, alpha):

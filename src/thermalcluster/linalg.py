@@ -67,6 +67,18 @@ def _is_real(v):
     return isinstance(v, (float, numbers.Real)) and not isinstance(v, bool)
 
 
+def _reals(x, message):
+    # x, one number or an array of them, as a float array; anything but real
+    # numbers (a bool, a string, None, a complex number) raises ConfigError
+    try:
+        a = np.asarray(x)
+        if a.dtype.kind in "iuf" or a.dtype.kind == "O" and all(map(_is_real, a.flat)):
+            return a.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(message)
+
+
 def _check_nonnegative(name, value):
     _check_integer(name, value)
     if value < 0:
@@ -75,11 +87,11 @@ def _check_nonnegative(name, value):
 
 def _states(rho, d=None, stack=True):
     # rho as an array and n, for one matrix or a stack (..., d, d) with d = 2^n
-    # and finite entries; stack=False admits one matrix only, and d one matrix
-    # of that size
+    # and finite entries; stack=False admits one matrix only, and d fixes the
+    # matrices' size
     rho = np.asarray(rho)
     shape = rho.shape
-    if d is not None and shape != (d, d):
+    if d is not None and (shape[-2:] != (d, d) or len(shape) > 2 and not stack):
         raise ConfigError(f"expected an {d}x{d} density matrix, got shape {shape}")
     if len(shape) < 2 or (len(shape) > 2 and not stack) or shape[-2] != shape[-1]:
         raise ConfigError(f"expected a square matrix, got shape {shape}")

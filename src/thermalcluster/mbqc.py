@@ -26,7 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import CHAIN, build_graph_state
-from .linalg import KETS, ConfigError, _check_integer, _check_nonnegative, _states, tensor_all
+from .linalg import (
+    KETS, ConfigError, _check_integer, _check_nonnegative, _float_or_stack, _states, tensor_all,
+)
 
 __all__ = [
     "AXES",
@@ -91,7 +93,7 @@ def conditional_state(rho, basis_bp, basis_bs, outcome_bp, outcome_bs):
             raise ConfigError(f"outcome must be 0 or 1, got {outcome!r}")
     ket_bp = KETS[_AXIS_LABELS[basis_bp][outcome_bp]]
     ket_bs = KETS[_AXIS_LABELS[basis_bs][outcome_bs]]
-    t = _states(rho, d=8)[0].reshape(2, 2, 2, 2, 2, 2)
+    t = _states(rho, d=8, stack=False)[0].reshape(2, 2, 2, 2, 2, 2)
     m = np.einsum("k,ajkbJK,K->ajbJ", ket_bp.conj(), t, ket_bp)
     red = np.einsum("j,ajbJ,J->ab", ket_bs.conj(), m, ket_bs)  # <bs, bp| rho |bs, bp>
     prob = float(np.trace(red).real)
@@ -152,7 +154,7 @@ def preparation_records(rho, pairs=ENABLED_PAIRS):
     ``pairs`` are basis pairs among ENABLED_PAIRS, the pairs with a target
     for every outcome, or ConfigError is raised.
     """
-    rho, _ = _states(rho, d=8)
+    rho, _ = _states(rho, d=8, stack=False)
     pairs = [tuple(pair) for pair in pairs]
     for pair in pairs:
         if pair not in ENABLED_PAIRS:
@@ -184,8 +186,13 @@ def average_preparation_fidelity(rho):
     (pair, outcome) branches. This is the two-design average whose curve
     crosses the classical threshold 2/3 near T/Delta = 1.13 on the ideal
     sweep; it is 1 on the pure cluster and 1/2 on the maximally mixed state.
+
+    A stack (..., 8, 8) gives an array, item i the call on rho[i] to the bit.
     """
-    return float(np.vdot(_preparation_operator(), _states(rho, d=8)[0]).real)
+    rho, _ = _states(rho, d=8)
+    # vecdot conjugates its first argument, as vdot does
+    fid = np.vecdot(_preparation_operator().reshape(-1), rho.reshape(rho.shape[:-2] + (-1,)))
+    return _float_or_stack(fid.real)
 
 
 @lru_cache(maxsize=1)
@@ -217,7 +224,7 @@ def haar_average_fidelity(rho, n_samples, seed):
     by (n_samples, seed) and built once per pair. By the two-design property
     it estimates the MUB average within Monte Carlo error.
     """
-    rho, _ = _states(rho, d=8)
+    rho, _ = _states(rho, d=8, stack=False)
     _check_integer("n_samples", n_samples)
     if n_samples < 1:
         raise ConfigError("need at least one sample")

@@ -33,7 +33,7 @@ import numpy as np
 from .entanglement import DEFAULT_TOL, _chain_negativities, classify_values, negativity
 from .graphs import CHAIN, format_graph
 from .linalg import ConfigError, _check_integer, _is_real, fidelity
-from .mbqc import _preparation_operator
+from .mbqc import average_preparation_fidelity
 from .thermal import (
     _fidelity_to_gibbs,
     gibbs_state,
@@ -156,34 +156,16 @@ class SweepPoint:
 _CUTS = ((0,), (2,), (1,))  # A_p, B_p, B_s order used in the output columns
 
 
-def _grid_points(cfg):
-    if cfg.p_grid is not None:
-        return [(float(p), temperature_from_p(p)) for p in cfg.p_grid]
-    return [(p_from_temperature(t), float(t)) for t in cfg.t_grid]
-
-
-def _preparation_fidelities(rhos):
-    # Tr(rho W) of each state of a stack, as one vecdot over the flattened
-    # states: it conjugates its first argument as vdot does and gives the
-    # bits of average_preparation_fidelity without its check per state, as
-    # the states are model states or negativity has checked the whole stack
-    w = _preparation_operator()
-    return np.vecdot(w.reshape(-1), rhos.reshape(len(rhos), -1)).real
-
-
-def _rows(pts, negs, fids, errs, ideal):
-    # negs: (n, 3) in _CUTS order; errs: (n, 4), the error bars of the
-    # negativities and of the preparation fidelity, zero for model rows;
-    # fids, ideal: (n,), the preparation fidelities and the fidelities to the
-    # Gibbs states. A row of cols holds SweepPoint's fields from neg_ap on
+def _rows(ps, ts, negs, fids, errs, ideal):
+    # ps, ts: (n,), the grid; negs: (n, 3) in _CUTS order; errs: (n, 4), the
+    # error bars of the negativities and of the preparation fidelity, zero
+    # for model rows; fids, ideal: (n,), the preparation fidelities and the
+    # fidelities to the Gibbs states. A row of cols holds SweepPoint's fields
     # but klass, as Python floats; a row is classified at one Monte Carlo
     # standard deviation
-    cols = np.column_stack([negs, errs[:, :3], fids, errs[:, 3], ideal]).tolist()
-    tols = np.maximum(errs[:, :3], DEFAULT_TOL).tolist()
-    return [
-        SweepPoint(p, t, *c[:6], classify_values(c[:3], tol), *c[6:])
-        for (p, t), c, tol in zip(pts, cols, tols)
-    ]
+    cols = np.column_stack([ps, ts, negs, errs[:, :3], fids, errs[:, 3], ideal]).tolist()
+    klasses = classify_values(negs, np.maximum(errs[:, :3], DEFAULT_TOL))
+    return [SweepPoint(*c[:8], k, *c[8:]) for c, k in zip(cols, klasses)]
 
 
 def run_sweep(cfg):
@@ -195,13 +177,17 @@ def run_sweep(cfg):
     every quantity from one batched call over the stack of reconstructions.
     """
     cfg.validate()
-    pts = _grid_points(cfg)
-    ps = np.array([p for p, _ in pts])
+    if cfg.p_grid is not None:
+        ts = temperature_from_p(cfg.p_grid)
+        ps = np.array(cfg.p_grid, dtype=float)
+    else:
+        ps = p_from_temperature(cfg.t_grid)
+        ts = np.array(cfg.t_grid, dtype=float)
     models = thermal_state_model(CHAIN, ps, cfg.alpha)
     if not cfg.tomography_enabled:
         return _rows(
-            pts, _chain_negativities(ps, cfg.alpha), _preparation_fidelities(models),
-            np.zeros((len(pts), 4)), _fidelity_to_gibbs(ps, cfg.alpha),
+            ps, ts, _chain_negativities(ps, cfg.alpha), average_preparation_fidelity(models),
+            np.zeros((len(ps), 4)), _fidelity_to_gibbs(ps, cfg.alpha),
         )
     settings = standard_settings(3)
     recs = []
@@ -215,10 +201,11 @@ def run_sweep(cfg):
     # preparation fidelity; per point: its record's values, then its
     # resamples' spread
     n = 1 + cfg.mc_samples
-    vals = np.column_stack([negativity(rhos, c) for c in _CUTS] + [_preparation_fidelities(rhos)])
-    vals = vals.reshape(len(pts), n, 4)
-    ideal = fidelity(rhos[::n], gibbs_state(CHAIN, np.array([t for _, t in pts])))
-    return _rows(pts, vals[:, 0, :3], vals[:, 0, 3], np.std(vals[:, 1:], axis=1, ddof=1), ideal)
+    fids = average_preparation_fidelity(rhos)
+    vals = np.column_stack([negativity(rhos, c) for c in _CUTS] + [fids])
+    vals = vals.reshape(len(ps), n, 4)
+    ideal = fidelity(rhos[::n], gibbs_state(CHAIN, ts))
+    return _rows(ps, ts, vals[:, 0, :3], vals[:, 0, 3], np.std(vals[:, 1:], axis=1, ddof=1), ideal)
 
 
 def _cells(pt):

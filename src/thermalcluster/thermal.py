@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .graphs import build_graph_state, parent_hamiltonian
-from .linalg import ConfigError, _is_real
+from .linalg import ConfigError, _float_or_stack, _is_real, _reals
 
 __all__ = [
     "p_from_temperature",
@@ -29,29 +29,32 @@ __all__ = [
 
 
 def p_from_temperature(t_over_delta):
-    """Dephasing strength p = 2/(1 + e^(Delta/T)); p(0) = 0, p(inf) = 1."""
-    if not (_is_real(t_over_delta) and t_over_delta >= 0):
+    """Dephasing strength p = 2/(1 + e^(Delta/T)); p(0) = 0, p(inf) = 1.
+
+    An array of temperatures gives an array, item i the call on item i.
+    """
+    t = _reals(t_over_delta, "temperature must be a nonnegative number")
+    if not np.all(t >= 0):
         raise ConfigError("temperature must be a nonnegative number")
-    t = float(t_over_delta)
-    if t == 0:
-        return 0.0
-    if np.isinf(t):
-        return 1.0
-    # e^(-Delta/T) underflows quietly to 0 as T -> 0; e^(Delta/T) would overflow
-    e = np.exp(-1.0 / t)
-    return float(2.0 * e / (1.0 + e))
+    # e^(-Delta/T), as e^(Delta/T) would overflow: it underflows quietly to 0
+    # as T -> 0, and it is e^(-inf) = 0 at T = 0 (abs makes -0.0 into 0.0)
+    # and e^(-0) = 1 at T = inf
+    with np.errstate(divide="ignore", over="ignore"):
+        e = np.exp(-1.0 / np.abs(t))
+    return _float_or_stack(2.0 * e / (1.0 + e))
 
 
 def temperature_from_p(p):
-    """Inverse map T/Delta = 1/(ln(2-p) - ln p); 0 at p=0, +inf at p=1."""
-    if not (_is_real(p) and 0.0 <= p <= 1.0):
+    """Inverse map T/Delta = 1/(ln(2-p) - ln p); 0 at p=0, +inf at p=1.
+
+    An array of p gives an array, item i the call on item i.
+    """
+    p = _reals(p, "p must lie in [0, 1]")
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ConfigError("p must lie in [0, 1]")
-    p = float(p)
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return float("inf")
-    return float(1.0 / (np.log(2.0 - p) - np.log(p)))
+    # ln 0 = -inf gives T = 1/inf = 0 at p = 0, and 1/0 = inf at p = 1
+    with np.errstate(divide="ignore"):
+        return _float_or_stack(1.0 / (np.log(2.0 - p) - np.log(p)))
 
 
 def gibbs_state(g, t_over_delta):
@@ -66,11 +69,8 @@ def gibbs_state(g, t_over_delta):
     temperature taking its own branch (ground projector, T = inf, or the
     exponential).
     """
-    try:
-        t = np.asarray(t_over_delta, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("temperatures must be numbers") from None
-    p = np.array([p_from_temperature(x) for x in t.ravel().tolist()]).reshape(t.shape)
+    t = _reals(t_over_delta, "temperatures must be numbers")
+    p = p_from_temperature(t)
     dim = 2**g.n_vertices
     out = np.empty(t.shape + (dim, dim), dtype=complex)
     # where e^(-1/T) underflows (T below about 1/745) the state is the ground
@@ -115,10 +115,7 @@ def thermal_state_model(g, p, alpha=np.pi):
     alpha = 0.84*pi models an imperfect entangling gate of the kind photonic
     implementations are fit by.
     """
-    try:
-        p = np.asarray(p, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("p must be numbers") from None
+    p = _reals(p, "p must be numbers")
     if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ConfigError("p must lie in [0, 1]")
     if not (_is_real(alpha) and -np.inf < alpha < np.inf):

@@ -225,6 +225,11 @@ def _number(parse, text):
         raise ConfigError(f"bad number {text!r} in count table") from None
 
 
+# numpy's Poisson sampler refuses means above about 9.2e18; a record's
+# counts may exceed its flux, a draw at flux 1e18 by more than 1e9
+_MAX_FLUX = 1e18
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """Counts per setting plus the flux and seed that produced them.
@@ -233,7 +238,9 @@ class CountRecord:
     exact mean counts (noiseless diagnostics) are legitimate inputs to the
     reconstructors as well. The flux is stored as a Python float and the
     seed as None or a Python int, so numpy scalars round-trip through the
-    text form.
+    text form. The flux is at most 1e18, the cap of simulate_counts, and a
+    count at most twice that; beyond them the reconstructors' arithmetic
+    overflows and numpy's Poisson resampling fails.
     """
 
     settings: tuple
@@ -258,10 +265,10 @@ class CountRecord:
                 f"{counts.shape[0] if counts.ndim else 0} counts for "
                 f"{len(self.settings)} settings"
             )
-        if not np.all((counts >= 0) & (counts < np.inf)):
-            raise ConfigError("counts must be nonnegative and finite")
-        if not (_is_real(self.flux) and 0 < self.flux < np.inf):
-            raise ConfigError("flux must be positive and finite")
+        if not np.all((counts >= 0) & (counts <= 2 * _MAX_FLUX)):
+            raise ConfigError(f"counts must be finite, nonnegative and at most {2 * _MAX_FLUX:g}")
+        if not (_is_real(self.flux) and 0 < self.flux <= _MAX_FLUX):
+            raise ConfigError(f"flux must be positive and at most {_MAX_FLUX:g}")
         object.__setattr__(self, "flux", float(self.flux))
         if self.seed is not None:
             _check_nonnegative("seed", self.seed)
@@ -324,10 +331,6 @@ def expected_probabilities(rho, settings):
     if rho.shape[-1] != maps.d:
         raise ConfigError(f"dimension mismatch: state {rho.shape[-1]}, settings {maps.d}")
     return _probabilities(maps.pf, rho)
-
-
-# numpy's Poisson sampler refuses means above about 9.2e18
-_MAX_FLUX = 1e18
 
 
 def simulate_counts(rho, settings, flux, seed):

@@ -188,7 +188,7 @@ def test_count_file_errors_exit_1(tmp_path, capsys):
     infinite = tmp_path / "infinite.txt"
     infinite.write_text("# flux = inf\nz0z0z0,5\n")
     assert main(["tomo", "--t", "1.0", "--load-counts", str(infinite)]) == 1
-    assert "finite" in capsys.readouterr().err
+    assert "flux must be positive and at most 1e+18" in capsys.readouterr().err
     for bad in ("nan", "inf"):
         table = tmp_path / f"{bad}_count.txt"
         table.write_text(f"# flux = 10.0\nz0z0z0,{bad}\nz0z0z1,3\n")
@@ -264,6 +264,25 @@ def test_tomo_counts_at_another_flux_exit_0_unconverged(tmp_path, capsys):
     assert main(["tomo", "--t", "1", "--alpha", "pi", "--load-counts", str(counts)]) == 0
     out = capsys.readouterr().out
     assert "flux = 1000000000.0" in out and "converged = False" in out
+
+
+def test_count_file_over_the_caps_exits_1(tmp_path, capsys):
+    # a flux above 1e18 or a count above 2e18 in a count file is refused
+    # before any reconstruction
+    counts = tmp_path / "counts.txt"
+    argv = ["tomo", "--t", "1", "--alpha", "pi", "--flux", "1000", "--seed", "0"]
+    assert main(argv + ["--save-counts", str(counts)]) == 0
+    text = counts.read_text()
+    row = text.splitlines()[2]
+    for old, new, message in (
+        ("# flux = 1000.0", "# flux = 1e19", "flux must be positive and at most 1e+18"),
+        (row, row.split(",")[0] + ",1e19", "at most 2e+18"),
+    ):
+        assert old in text
+        counts.write_text(text.replace(old, new))
+        capsys.readouterr()
+        assert main(["tomo", "--t", "1", "--alpha", "pi", "--load-counts", str(counts)]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_tomo_requires_exactly_one_point(capsys):

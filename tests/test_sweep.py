@@ -163,6 +163,11 @@ def mle(settings=(("z0",),), max_iter=200):
     pytest.param(lambda: validate_density_matrix(np.eye(6) / 6), id="validate_size_6"),
     pytest.param(record(counts=np.ones(3)), id="record_shape"),
     pytest.param(record(flux=float("inf")), id="record_flux"),
+    # past the caps the reconstructors overflow and the Poisson resampling fails
+    pytest.param(record(flux=np.nextafter(1e18, np.inf)), id="record_flux_cap"),
+    pytest.param(record(flux=1e156), id="record_flux_huge"),
+    pytest.param(record(counts=[1.0, 1.0, 1.0, np.nextafter(2e18, np.inf)]), id="record_count_cap"),
+    pytest.param(record(counts=[1.0, 1.0, 1.0, 1e19]), id="record_count_huge"),
     pytest.param(lambda: CountRecord.from_text("z0,3\n"), id="from_text"),
     pytest.param(lambda: CountRecord.from_text("# flux = 1\nz0,abc\n"), id="from_text_count"),
     pytest.param(lambda: parse_setting_label("z0q-"), id="parse_setting_label"),
@@ -197,6 +202,17 @@ def mle(settings=(("z0",),), max_iter=200):
     pytest.param(lambda: temperature_from_p("a"), id="temperature_from_p_string"),
     pytest.param(lambda: temperature_from_p(None), id="temperature_from_p_none"),
     pytest.param(lambda: gibbs_state(CHAIN, "a"), id="gibbs_state_string"),
+    # the same refusals for one value and for any item of an array, and no
+    # bool or numeric string taken as a number
+    pytest.param(lambda: p_from_temperature(True), id="p_from_temperature_bool"),
+    pytest.param(lambda: temperature_from_p(False), id="temperature_from_p_bool"),
+    pytest.param(lambda: p_from_temperature(np.array([0.5, -1.0])), id="p_from_temperature_array"),
+    pytest.param(lambda: p_from_temperature([0.5, np.nan]), id="p_from_temperature_array_nan"),
+    pytest.param(lambda: p_from_temperature([0.5, "1"]), id="p_from_temperature_array_string"),
+    pytest.param(lambda: temperature_from_p(np.array([0.5, 1.5])), id="temperature_from_p_array"),
+    pytest.param(lambda: temperature_from_p([0.5, None]), id="temperature_from_p_array_none"),
+    pytest.param(lambda: gibbs_state(CHAIN, True), id="gibbs_state_bool"),
+    pytest.param(lambda: thermal_state_model(CHAIN, "0.5"), id="model_p_numeric_string"),
     pytest.param(lambda: haar_average_fidelity(np.eye(8) / 8, 0, seed=0), id="haar_samples"),
     pytest.param(lambda: haar_average_fidelity(np.eye(8) / 8, 2.5, seed=0), id="haar_samples_float"),
     pytest.param(lambda: haar_average_fidelity(np.eye(8) / 8, 10, seed=-1), id="haar_seed"),
@@ -387,6 +403,21 @@ def test_golden_model_sweep_regression():
         }
         text += emit(run_sweep(cfg), "csv", provenance=provenance)
     assert text == (DATA / "model_sweep_golden.csv").read_text()
+
+
+def test_golden_model_sweep_p_grid_regression():
+    # the p-grid path, with its ends T = 0 and T = inf, to the last digit
+    grid = tuple(float(p) for p in np.linspace(0.0, 1.0, 21))
+    text = ""
+    for alpha in (np.pi, 0.84 * np.pi):
+        cfg = SweepConfig(p_grid=grid, alpha=float(alpha))
+        provenance = {
+            "config_hash": cfg.config_hash(),
+            "seed": cfg.seed,
+            "tool_version": __version__,
+        }
+        text += emit(run_sweep(cfg), "csv", provenance=provenance)
+    assert text == (DATA / "model_sweep_p_golden.csv").read_text()
 
 
 def test_golden_sweep_regression():

@@ -6,7 +6,7 @@ import pytest
 
 from thermalcluster.entanglement import negativity
 from thermalcluster.graphs import Graph, linear_graph
-from thermalcluster.linalg import KETS, validate_density_matrix
+from thermalcluster.linalg import KETS, ConfigError, validate_density_matrix
 from thermalcluster.sweep import _SEED_STRIDE
 from thermalcluster.thermal import p_from_temperature, thermal_state_model
 from thermalcluster.tomography import (
@@ -97,6 +97,22 @@ def test_count_record_validation():
         CountRecord.from_text("# flux = 10.0\nz0,5\nz0z1,3\n")
     with pytest.raises(ValueError, match="setting"):
         CountRecord.from_text("# flux = 10.0\n")
+
+
+def test_count_record_caps():
+    # a draw at the flux cap may exceed it: seed 5 on |000> gives a count of
+    # 1.0000000009681757e18, which stays a valid record, as does a count at
+    # twice the cap; one step past either cap is refused
+    rec = simulate_counts(np.diag(np.eye(8)[0]), standard_settings(3), 1e18, seed=5)
+    assert rec.flux == 1e18 and rec.counts.max() == 1.0000000009681757e18
+    assert np.array_equal(CountRecord.from_text(rec.to_text()).counts, rec.counts)
+    settings = standard_settings(1)
+    CountRecord(settings=settings, counts=[0.0, 0.0, 0.0, 2e18], flux=1e18)
+    with pytest.raises(ConfigError, match=r"^flux must be positive and at most 1e\+18$"):
+        CountRecord(settings=settings, counts=np.ones(4), flux=np.nextafter(1e18, np.inf))
+    over = [0.0, 0.0, 0.0, np.nextafter(2e18, np.inf)]
+    with pytest.raises(ConfigError, match=r"^counts must be finite, nonnegative and at most 2e\+18$"):
+        CountRecord(settings=settings, counts=over, flux=1.0)
 
 
 def test_count_record_text_round_trip():
