@@ -1,14 +1,15 @@
 """Temperature sweeps over the 3-qubit chain and result-table emission.
 
-A sweep walks a grid of dephasing strengths (or temperatures), builds the
-model states of all its points as one stack, and collects negativities,
-the entanglement class, the preparation fidelity, and the fidelity against
-the ideal Gibbs state. On model rows the negativities and the fidelity
-against the Gibbs state are closed forms in p and the angle, exact to
-rounding; only the preparation fidelity reads the states. With tomography
-enabled the quantities come from a simulated reconstruction instead, each
-from one batched call over its stack, with Monte Carlo error bars attached
-and the classification thresholds replaced by those error bars.
+A sweep walks a grid of dephasing strengths (or temperatures) and collects
+negativities, the entanglement class, the preparation fidelity, and the
+fidelity against the ideal Gibbs state. Model rows build no state: every
+quantity is a closed form in p and the angle, taken over the whole grid in
+one call, exact to rounding or within a few ulps of the route through the
+states. With tomography enabled the model states of all points are built
+as one stack and the quantities come from a simulated reconstruction
+instead, each from one batched call over its stack, with Monte Carlo error
+bars attached and the classification thresholds replaced by those error
+bars.
 
 A tomography sweep first draws every count record it needs, each point's
 record followed by its Monte Carlo resamples, and then solves them all in
@@ -26,14 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .entanglement import DEFAULT_TOL, _chain_negativities, classify_values, negativity
 from .graphs import CHAIN, format_graph
 from .linalg import ConfigError, _check_integer, _is_real, fidelity
-from .mbqc import average_preparation_fidelity
+from .mbqc import _model_preparation_fidelity, average_preparation_fidelity
 from .thermal import (
     _fidelity_to_gibbs,
     gibbs_state,
@@ -91,16 +92,18 @@ class SweepConfig:
     def validate(self):
         """Check the type of every field but ``workers``, then the grids; returns self.
 
-        The angle, flux, seed and grid values are checked by the functions
-        that take them, before any state is built.
+        The angle must also be finite. The flux, seed and grid values are
+        checked by the functions that take them, before any state is built.
         """
         if not isinstance(self.tomography_enabled, bool):
             raise ConfigError("tomography_enabled must be true or false")
         for name in ("mc_samples", "seed"):
             _check_integer(name, getattr(self, name))
-        for name in ("alpha", "flux"):
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a real number")
+        # no model state checks the angle of a model sweep
+        if not (_is_real(self.alpha) and -np.inf < self.alpha < np.inf):
+            raise ConfigError("alpha must be a finite real number")
+        if not _is_real(self.flux):
+            raise ConfigError("flux must be a real number")
         for name in ("p_grid", "t_grid"):
             grid = getattr(self, name)
             if not (grid is None or isinstance(grid, (list, tuple)) and all(map(_is_real, grid))):
@@ -154,27 +157,38 @@ class SweepPoint:
 
 
 _CUTS = ((0,), (2,), (1,))  # A_p, B_p, B_s order used in the output columns
+_FIELDS = tuple(f.name for f in fields(SweepPoint))
 
 
 def _rows(ps, ts, negs, fids, errs, ideal):
     # ps, ts: (n,), the grid; negs: (n, 3) in _CUTS order; errs: (n, 4), the
     # error bars of the negativities and of the preparation fidelity, zero
     # for model rows; fids, ideal: (n,), the preparation fidelities and the
-    # fidelities to the Gibbs states. A row of cols holds SweepPoint's fields
-    # but klass, as Python floats; a row is classified at one Monte Carlo
-    # standard deviation
-    cols = np.column_stack([ps, ts, negs, errs[:, :3], fids, errs[:, 3], ideal]).tolist()
-    klasses = classify_values(negs, np.maximum(errs[:, :3], DEFAULT_TOL))
-    return [SweepPoint(*c[:8], k, *c[8:]) for c, k in zip(cols, klasses)]
+    # fidelities to the Gibbs states. cols holds SweepPoint's fields in order,
+    # one list each, the floats as Python floats; a row is classified at one
+    # Monte Carlo standard deviation
+    cols = np.column_stack([ps, ts, negs, errs[:, :3], fids, errs[:, 3], ideal]).T.tolist()
+    cols.insert(_FIELDS.index("klass"), classify_values(negs, np.maximum(errs[:, :3], DEFAULT_TOL)))
+    # the generated __init__ of a frozen dataclass sets each field through
+    # object.__setattr__, about 2 us a row; a bare instance whose __dict__
+    # is filled directly is the same row (equality, hash, repr and replace
+    # read the fields) at a fraction of that
+    rows = []
+    for vals in zip(*cols):
+        pt = object.__new__(SweepPoint)
+        pt.__dict__.update(zip(_FIELDS, vals))
+        rows.append(pt)
+    return rows
 
 
 def run_sweep(cfg):
     """Evaluate every grid point; rows are ordered by grid index.
 
-    The model states of all points are one stack. Model rows take their
-    negativities and their fidelity against the Gibbs state in closed form
-    and their preparation fidelity from the stack; tomography rows take
-    every quantity from one batched call over the stack of reconstructions.
+    Model rows take their negativities, their preparation fidelity and
+    their fidelity against the Gibbs state in closed form, with no state
+    built. Tomography rows draw counts from the stack of the model states
+    and take every quantity from one batched call over the stack of
+    reconstructions.
     """
     cfg.validate()
     if cfg.p_grid is not None:
@@ -183,15 +197,14 @@ def run_sweep(cfg):
     else:
         ps = p_from_temperature(cfg.t_grid)
         ts = np.array(cfg.t_grid, dtype=float)
-    models = thermal_state_model(CHAIN, ps, cfg.alpha)
     if not cfg.tomography_enabled:
         return _rows(
-            ps, ts, _chain_negativities(ps, cfg.alpha), average_preparation_fidelity(models),
+            ps, ts, _chain_negativities(ps, cfg.alpha), _model_preparation_fidelity(ps, cfg.alpha),
             np.zeros((len(ps), 4)), _fidelity_to_gibbs(ps, cfg.alpha),
         )
     settings = standard_settings(3)
     recs = []
-    for i, model in enumerate(models):
+    for i, model in enumerate(thermal_state_model(CHAIN, ps, cfg.alpha)):
         point_seed = cfg.seed + i * _SEED_STRIDE
         rec = simulate_counts(model, settings, cfg.flux, seed=point_seed)
         recs += [rec] + _resamples(rec, point_seed + 1, cfg.mc_samples)

@@ -121,9 +121,8 @@ def thermal_state_model(g, p, alpha=np.pi):
     if not (_is_real(alpha) and -np.inf < alpha < np.inf):
         raise ConfigError("alpha must be a finite real number")
     pure, factor_index = _pure_state_and_factor_index(g)
-    # one qubit's factor [[1, c], [conj(c), 1]], flattened: entry 2 b_i + b_j;
-    # b_i = 0, b_j = 1 gives e^(-i*alpha)
-    c = (1.0 - p / 2.0) + (p / 2.0) * np.exp(-1j * alpha)
+    # one qubit's factor [[1, c], [conj(c), 1]], flattened: entry 2 b_i + b_j
+    c = _coherence(p, alpha)
     one = np.ones_like(c)
     k = np.stack([one, c, np.conj(c), one], axis=-1)
     # K_ij is the product over qubits of their factors' entries, taken in
@@ -132,6 +131,14 @@ def thermal_state_model(g, p, alpha=np.pi):
     for idx in factor_index[1:]:
         kk = kk * k[..., idx]
     return np.ascontiguousarray(pure * kk)
+
+
+def _coherence(p, alpha):
+    # the entry c = K_ij of one qubit's channel factor at b_i = 0, b_j = 1,
+    # (1 - p/2) + (p/2) e^(-i*alpha), for an array p; the model states and
+    # the closed-form preparation fidelity of model rows (mbqc) both take c
+    # from here, so the two cannot drift apart
+    return (1.0 - p / 2.0) + (p / 2.0) * np.exp(-1j * alpha)
 
 
 def _fidelity_to_gibbs(p, alpha):

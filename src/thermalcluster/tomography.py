@@ -569,7 +569,8 @@ def _mle_batch(recs, max_iter=200):
     definite = np.linalg.eigvalsh(est)[:, 0] > 0.0
     start, rank = est.copy(), np.full(len(recs), d)
     cand = np.flatnonzero(~definite)
-    start[cand], rank[cand] = _positive_part(est[cand])
+    if cand.size:  # an eigh of an empty stack still costs about 20 us
+        start[cand], rank[cand] = _positive_part(est[cand])
     ok = (rank > 0) & np.all(
         (_probabilities(maps.pf, start) > maps.pf.shape[1] * _EPS) | (counts == 0.0), axis=-1
     )

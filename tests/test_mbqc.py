@@ -1,6 +1,7 @@
 import itertools
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from thermalcluster.mbqc import (
     preparation_records,
     target_map,
     _haar_operator,
+    _model_preparation_fidelity,
 )
 from thermalcluster.thermal import p_from_temperature, thermal_state_model
 
@@ -173,3 +175,21 @@ def test_haar_average_deterministic():
     _haar_operator.cache_clear()  # rebuild W_n from the seed, not the cache
     b = haar_average_fidelity(rho, 2000, seed=1)
     assert a == b
+
+
+def test_model_preparation_fidelity_matches_the_states():
+    # the closed form over c that model sweeps take, against the route
+    # through the states, on the ends of p (a subnormal, 1 - 1e-16 and 1),
+    # a dense grid and angles that wrap, are large or negative; no numpy
+    # warning fires on the way
+    ps = np.concatenate([[0.0, 5e-324, 1e-300, 1.0 - 1e-16, 1.0], np.linspace(0.0, 1.0, 401)])
+    alphas = np.concatenate(
+        [[0.0, np.pi, -np.pi, 0.84 * np.pi, 2.0 * np.pi, 1e3], np.linspace(-2.0 * np.pi, 2.0 * np.pi, 201)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in alphas:
+            fids = _model_preparation_fidelity(ps, alpha)
+            ref = average_preparation_fidelity(model(ps, alpha))
+            assert fids.shape == ps.shape
+            assert np.abs(fids - ref).max() <= 1e-15, alpha

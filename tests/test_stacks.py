@@ -151,7 +151,8 @@ def _sweep_calls(monkeypatch, cfg):
         name: _spy(monkeypatch, sweep, name)
         for name in (
             "thermal_state_model", "gibbs_state", "negativity", "fidelity",
-            "average_preparation_fidelity", "p_from_temperature", "temperature_from_p",
+            "average_preparation_fidelity", "_model_preparation_fidelity",
+            "p_from_temperature", "temperature_from_p",
         )
     }
     points = run_sweep(cfg)
@@ -160,24 +161,21 @@ def _sweep_calls(monkeypatch, cfg):
 
 def test_model_sweep_makes_one_call_per_quantity(monkeypatch):
     # a structural guard that timing on a shared host cannot give: a model
-    # sweep builds its states in one call, for the preparation fidelity, and
-    # takes the negativities and the fidelity against the Gibbs states in
-    # closed form, with no Gibbs state, partial transpose or eigensolver;
-    # the grid is mapped in one call on either kind of grid
-    none = {"gibbs_state": 0, "negativity": 0, "fidelity": 0}
+    # sweep builds no state; it takes the negativities, the fidelity against
+    # the Gibbs states and the preparation fidelity in closed form, the last
+    # in one call, with no model or Gibbs state, partial transpose or
+    # eigensolver; the grid is mapped in one call on either kind of grid
+    no_states = {
+        "thermal_state_model": 0, "gibbs_state": 0, "negativity": 0, "fidelity": 0,
+        "average_preparation_fidelity": 0, "_model_preparation_fidelity": 1,
+    }
     points, calls = _sweep_calls(monkeypatch, SweepConfig(t_grid=DENSE_T, alpha=0.84 * np.pi))
     assert len(points) == 60
-    assert calls == {
-        "thermal_state_model": 1, **none, "average_preparation_fidelity": 1,
-        "p_from_temperature": 1, "temperature_from_p": 0,
-    }
+    assert calls == {**no_states, "p_from_temperature": 1, "temperature_from_p": 0}
     monkeypatch.undo()
     points, calls = _sweep_calls(monkeypatch, SweepConfig(p_grid=P_GRID, alpha=0.84 * np.pi))
     assert len(points) == 3
-    assert calls == {
-        "thermal_state_model": 1, **none, "average_preparation_fidelity": 1,
-        "p_from_temperature": 0, "temperature_from_p": 1,
-    }
+    assert calls == {**no_states, "p_from_temperature": 0, "temperature_from_p": 1}
 
 
 def test_tomography_sweep_makes_one_call_per_quantity(monkeypatch):
@@ -191,7 +189,8 @@ def test_tomography_sweep_makes_one_call_per_quantity(monkeypatch):
     assert len(points) == 2
     assert calls == {
         "thermal_state_model": 1, "gibbs_state": 1, "negativity": 3, "fidelity": 1,
-        "average_preparation_fidelity": 1, "p_from_temperature": 1, "temperature_from_p": 0,
+        "average_preparation_fidelity": 1, "_model_preparation_fidelity": 0,
+        "p_from_temperature": 1, "temperature_from_p": 0,
     }
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -81,9 +82,17 @@ def test_config_field_validation():
     SweepConfig(
         p_grid=(0.5,), tomography_enabled=True, mc_samples=_SEED_STRIDE - 1
     ).validate()
-    for alpha in (float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="alpha"):
-            run_sweep(SweepConfig(p_grid=(0.5,), alpha=alpha))
+    # no model state is built on a model sweep, so the config refuses the
+    # angle itself, on either branch, before any array work
+    for alpha in (float("nan"), float("inf"), -float("inf")):
+        for tomography in (False, True):
+            cfg = SweepConfig(p_grid=(0.5,), alpha=alpha, tomography_enabled=tomography)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match="alpha must be a finite real number"):
+                    cfg.validate()
+                with pytest.raises(ConfigError, match="alpha must be a finite real number"):
+                    run_sweep(cfg)
 
 
 def tomography_sweep(**fields):
@@ -369,6 +378,17 @@ def test_rows_hold_python_floats_and_a_class_name(tomography):
         for field in dataclasses.fields(SweepPoint):
             v = getattr(pt, field.name)
             assert type(v) is (str if field.name == "klass" else float), (field.name, v)
+        # the rows skip the generated __init__ (see sweep._rows) but behave
+        # as constructed ones: equal, with the same hash and repr, frozen,
+        # and open to dataclasses.replace
+        built = SweepPoint(*dataclasses.astuple(pt))
+        assert type(pt) is SweepPoint
+        assert pt == built and hash(pt) == hash(built) and repr(pt) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pt.avg_fidelity = 0.0
+        moved = dataclasses.replace(pt, avg_fidelity=0.25)
+        assert moved.avg_fidelity == 0.25 and moved != pt
+        assert dataclasses.replace(moved, avg_fidelity=pt.avg_fidelity) == pt
 
 
 def test_tomography_rows_converge_to_model_rows():

@@ -498,6 +498,33 @@ def test_closed_form_is_the_certified_maximum():
         assert np.abs(res.rho - rho_b).max() < 1e-4
 
 
+def test_closed_form_start_takes_no_eigendecomposition(monkeypatch):
+    # a structural guard that timing on a shared host cannot give: a record
+    # certified at its closed form takes no positive part, not even of an
+    # empty stack; a record whose closed form is not positive definite
+    # takes one
+    import thermalcluster.tomography as tomo
+
+    calls = []
+
+    def counted(est):
+        calls.append(len(est))
+        return _positive_part(est)
+
+    monkeypatch.setattr(tomo, "_positive_part", counted)
+    settings = standard_settings(3)
+    maps = _linear_maps(settings)
+    for t, flux, parts in ((1.8, 1e6, []), (0.5, 1e3, [1])):
+        rho = thermal_state_model(linear_graph(3), p_from_temperature(t), 0.84 * np.pi)
+        rec = simulate_counts(rho, settings, flux, seed=0)
+        definite = np.linalg.eigvalsh(_closed_form(maps, rec.counts, rec.flux))[0] > 0.0
+        assert definite == (not parts)
+        calls.clear()
+        res = mle_reconstruct(rec)
+        assert res.converged and (res.iterations == 0) == definite
+        assert calls == parts
+
+
 def test_closed_form_needs_positive_counts_and_a_positive_estimate():
     # with max_iter=0 only a record that starts at its certified maximum
     # converges; one zero count, or a closed form that is not positive
