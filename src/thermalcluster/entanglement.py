@@ -45,8 +45,9 @@ PPT_ALL = "PPT_ALL"
 BOUND = "BOUND"
 FREE = "FREE"
 # indexed by how many of "some cut lies above its tolerance" and "every cut
-# does" hold
-_LABELS = (PPT_ALL, BOUND, FREE)
+# does" hold, built once rather than on every call
+_LABELS = np.array([PPT_ALL, BOUND, FREE])
+_LABELS.flags.writeable = False
 
 
 class BracketingError(RuntimeError):
@@ -87,7 +88,7 @@ def classify_values(negs, tols):
     where no value exceeds its tolerance, FREE where all do, else BOUND.
     """
     above = np.greater(negs, tols)
-    return np.array(_LABELS)[above.any(axis=-1).astype(int) + above.all(axis=-1)].tolist()
+    return _LABELS[above.any(axis=-1).astype(int) + above.all(axis=-1)].tolist()
 
 
 def classify(rho):

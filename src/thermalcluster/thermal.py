@@ -34,7 +34,10 @@ def p_from_temperature(t_over_delta):
     An array of temperatures gives an array, item i the call on item i.
     """
     t = _reals(t_over_delta, "temperature must be a nonnegative number")
-    if not np.all(t >= 0):
+    # one ndarray reduction, cheaper on one number than np.all over a
+    # comparison; a NaN propagates through min and is refused, and the
+    # initial value lets an empty array through
+    if not t.min(initial=0.0) >= 0:
         raise ConfigError("temperature must be a nonnegative number")
     # e^(-Delta/T), as e^(Delta/T) would overflow: it underflows quietly to 0
     # as T -> 0, and it is e^(-inf) = 0 at T = 0 (abs makes -0.0 into 0.0)
@@ -50,7 +53,7 @@ def temperature_from_p(p):
     An array of p gives an array, item i the call on item i.
     """
     p = _reals(p, "p must lie in [0, 1]")
-    if not np.all((0.0 <= p) & (p <= 1.0)):
+    if not (p.min(initial=0.0) >= 0 and p.max(initial=1.0) <= 1):  # as in p_from_temperature
         raise ConfigError("p must lie in [0, 1]")
     # ln 0 = -inf gives T = 1/inf = 0 at p = 0, and 1/0 = inf at p = 1
     with np.errstate(divide="ignore"):
@@ -116,7 +119,7 @@ def thermal_state_model(g, p, alpha=np.pi):
     implementations are fit by.
     """
     p = _reals(p, "p must be numbers")
-    if not np.all((0.0 <= p) & (p <= 1.0)):
+    if not (p.min(initial=0.0) >= 0 and p.max(initial=1.0) <= 1):  # as in p_from_temperature
         raise ConfigError("p must lie in [0, 1]")
     if not (_is_real(alpha) and -np.inf < alpha < np.inf):
         raise ConfigError("alpha must be a finite real number")

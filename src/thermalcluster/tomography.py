@@ -5,10 +5,11 @@ projector setting the detector registers a Poisson-distributed number of
 coincidences with mean flux * Tr(rho * Pi). Reconstruction is offered both
 as least-squares linear inversion (with eigenvalue clipping to the physical
 set) and as Poisson maximum likelihood. The likelihood is concave in rho,
-so the MLE is found by Newton's method and certified by the Frank-Wolfe
-gap, an upper bound on how far the returned log-likelihood lies below the
-maximum (cf. Glancy, Knill and Girard, NJP 14, 095017 (2012)). Each record
-takes one of two starts:
+so the MLE is found by Newton's method and certified by an upper bound on
+how far the returned log-likelihood lies below the maximum: the smaller of
+the Frank-Wolfe gap (cf. Glancy, Knill and Girard, NJP 14, 095017 (2012))
+and a dual gap from weak duality, each plus a bound on its rounding. Each
+record takes one of two starts:
 
 - The closed form. On the standard settings the map from rho to the
   probabilities q is square and invertible, and the settings in
@@ -47,9 +48,10 @@ one. The stack is cut into chunks, records with a positive definite
 estimate first, so that records certified at their start do not wait on
 other records' rounds. Every unfinished record of a chunk takes a Newton
 step in each round, with one set of batched ``eigh``, ``solve`` and
-``eigvalsh`` calls for the chunk. Every product is taken per record, never
-across records, so a record's result is the same bit for bit alone or in
-any batch.
+``eigvalsh`` calls for the chunk; one ``eigh`` of each iterate and one of
+its gradient serve both its certificate and its next step. Every product
+is taken per record, never across records, so a record's result is the
+same bit for bit alone or in any batch.
 
 All randomness flows from explicit integer seeds; nothing reads ambient
 entropy, so every pipeline built on this module is reproducible bit for bit.
@@ -60,6 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -320,7 +323,8 @@ class ReconstructionResult:
     iterations: int = 0
     log_likelihood: float | None = None
     converged: bool = True
-    # MLE only: Frank-Wolfe gap, an upper bound on max log L - log_likelihood
+    # MLE only: an upper bound on max log L - log_likelihood, the smaller of
+    # the Frank-Wolfe gap and the dual gap, each plus its rounding
     gap: float | None = None
 
 
@@ -410,14 +414,20 @@ def _least_squares(maps, counts, flux):
 _EPS = np.finfo(float).eps
 
 
+def _rounding(d, c, mean, logs, extra=0.0):
+    # a bound on the rounding of a certificate: S + d*d ulps of the sum of
+    # the magnitudes it adds up, N + flux sum_s q_s + sum_s c_s logs_s + extra.
+    # log L is a sum of S terms c_s log(flux q_s) - flux q_s with each q_s a
+    # product over d*d entries, so with logs_s = |log(flux q_s)| the bound
+    # holds for the computed log L even where a gap falls below one ulp of it
+    return (c.shape[-1] + d * d) * _EPS * (c.sum(axis=-1) + mean + np.vecdot(c, logs) + extra)
+
+
 def _fw_gap(pf, d, c, flux, q):
     # lambda_max(G) - Tr(rho G) for the likelihood gradient
     # G = sum_s w_s Pi_s, w_s = c_s / q_s - flux, of one record or a stack;
-    # Tr(rho G) = sum_s (c_s / q_s - flux) q_s = N - flux sum_s q_s. Added to
-    # it is a bound on the rounding of log L, a sum of S terms
-    # c_s log(flux q_s) - flux q_s with each q_s a product over d*d entries,
-    # so the certificate holds for the computed log L even where the gap
-    # itself falls below one ulp of it
+    # Tr(rho G) = sum_s (c_s / q_s - flux) q_s = N - flux sum_s q_s, plus the
+    # rounding of log L
     n_total = c.sum(axis=-1)
     mean = flux * q.sum(axis=-1)
     # a setting with c_s = 0 adds -flux Pi_s to G and nothing to the rounding
@@ -426,39 +436,106 @@ def _fw_gap(pf, d, c, flux, q):
     w = c / q - flux[..., None]
     grad = (w[..., None, :] @ pf).view(np.complex128).reshape(*w.shape[:-1], d, d)
     lam_max = np.linalg.eigvalsh(grad)[..., -1]
-    terms = n_total + mean + np.vecdot(c, np.abs(np.log(flux[..., None] * q)))
-    return np.maximum(0.0, lam_max - (n_total - mean)) + (q.shape[-1] + d * d) * _EPS * terms
+    logs = np.abs(np.log(flux[..., None] * q))
+    return np.maximum(0.0, lam_max - (n_total - mean)) + _rounding(d, c, mean, logs)
 
 
-def _result(rho, q, gap, rec, ls, maps, iterations, converged, project=True):
-    ll = _log_likelihood(q, rec.counts, rec.flux)
-    if project and maps.rank == maps.d * maps.d and rec.counts.any():
-        # projected linear inversion, if the solver ended below it; gap still
-        # bounds max log L - ll, as ll only grows
-        lin = _project_to_states(ls)
-        ll_lin = _log_likelihood(_probabilities(maps.pf, lin), rec.counts, rec.flux)
-        if ll < ll_lin:
-            rho, ll = lin, ll_lin
-    return ReconstructionResult(
-        rho=rho, method="MLE", iterations=int(iterations),
-        log_likelihood=ll, converged=bool(converged), gap=float(gap),
-    )
+class _Frame(NamedTuple):
+    # what one round knows of each factored record of a stack, from one eigh
+    # of its state and one of its gradient: rho's eigenvalues lam in
+    # descending order, cut to the top k and to trace 1, and its
+    # eigenvectors u in that order; wk, the rows w_s = U^H v_s; then, from
+    # _gradient, qc (q with 1 where c_s = 0), the weights
+    # w_s = c_s / q_s - flux (-flux where c_s = 0), mean = flux sum_s q_s,
+    # tau = Tr(rho G) = N - mean, U^H G U for the likelihood gradient
+    # G = sum_s w_s Pi_s, and its eigenvalues mu and eigenvectors x. They
+    # give the certificate at the iterate and the Newton step from it
+    lam: np.ndarray
+    u: np.ndarray
+    wk: np.ndarray
+    qc: np.ndarray
+    w: np.ndarray
+    mean: np.ndarray
+    tau: np.ndarray
+    grad: np.ndarray
+    mu: np.ndarray
+    x: np.ndarray
 
 
-def _rotated_map(wk, iu, ju, g):
+def _frame(maps, c, fl, ql, rl, k):
+    lam, u = np.linalg.eigh(rl)
+    lam, u = lam[:, ::-1], u[:, :, ::-1]
+    lam = np.where(np.arange(maps.d) < k[:, None], np.maximum(lam, 0.0), 0.0)
+    lam /= lam.sum(axis=-1, keepdims=True)
+    wk = maps.kets @ u.conj()
+    return _Frame(lam, u, wk, *_gradient(wk, c, fl, ql))
+
+
+def _gradient(wk, c, fl, ql):
+    # the fields of _Frame from qc on, at the probabilities ql
+    qc = np.where(c > 0, ql, 1.0)
+    w = c / qc - fl[:, None]
+    mean = fl * ql.sum(axis=-1)
+    g = (wk.mT * w[:, None, :]) @ wk.conj()
+    g = 0.5 * (g + g.conj().mT)
+    return [qc, w, mean, c.sum(axis=-1) - mean, g, *np.linalg.eigh(g)]
+
+
+def _certificate(maps, c, fl, k, frame):
+    # the bound on max log L - log L(rho) of each record of a stack, from its
+    # _frame: the smaller of the Frank-Wolfe gap and a dual gap, each with
+    # its rounding.
+    # Weak duality: for any y with y_s > 0 where c_s > 0 and y_s >= 0
+    # elsewhere, c_s log(flux q_s) <= c_s (log(flux c_s / y_s) - 1) + y_s q_s,
+    # so max log L <= sum_(c_s > 0) c_s (log(flux c_s / y_s) - 1)
+    # + lambda_max(sum_s (y_s - flux) Pi_s). At y = c / q + delta the shortfall
+    # is at most lambda_max(G') - tau - sum_s c_s log1p(q_s delta_s / c_s), with
+    # G' = G + sum_s delta_s Pi_s and tau = Tr(rho G); delta = 0 gives the
+    # Frank-Wolfe gap. delta = -lin vec(H), H = U [U^H G U - tau I on the face
+    # of rho] U^H, cancels G on the face, where the Frank-Wolfe gap is first
+    # order in the error of G, so the dual gap is second order near the
+    # maximum. G' is formed from the delta used, so the bound holds whatever
+    # rounding delta carries; delta is clipped at 0 where c_s = 0, and a
+    # record with y_s <= 0 on a counted setting keeps the Frank-Wolfe gap
+    d, n = maps.d, len(c)
+    seen = c > 0
+    qc, mean, tau = frame.qc, frame.mean, frame.tau
+    logs = np.abs(np.log(fl[:, None] * qc))
+    fw = np.maximum(0.0, frame.mu[:, -1] - tau) + _rounding(d, c, mean, logs)
+    face = np.arange(d) < k[:, None]
+    h = frame.grad - tau[:, None, None] * np.eye(d)
+    h = np.where(face[:, :, None] & face[:, None, :], h, 0.0)
+    h = np.ascontiguousarray(frame.u @ h @ frame.u.conj().mT).view(np.float64)
+    delta = -(maps.lin @ h.reshape(n, 2 * d * d, 1))[..., 0]
+    delta = np.where(seen, delta, np.maximum(delta, 0.0))
+    # x = q delta / c on the counted settings, where it is below 1e300 in
+    # magnitude (the test itself cannot overflow); elsewhere the record
+    # keeps the Frank-Wolfe gap
+    qd = qc * delta
+    fits = seen & (np.abs(qd) * 1e-300 <= c)
+    x = np.divide(qd, c, out=np.zeros_like(qd), where=fits)
+    feasible = ((x > -1.0) & (fits | ~seen)).all(axis=-1)
+    l1p = np.log1p(np.where(feasible[:, None], x, 0.0))
+    g_dual = frame.grad + (frame.wk.mT * delta[:, None, :]) @ frame.wk.conj()
+    lam_d = np.linalg.eigvalsh(g_dual)[:, -1]
+    dual = np.maximum(0.0, lam_d - tau - np.vecdot(c, l1p))
+    dual += _rounding(d, c, mean, logs + np.abs(l1p), np.abs(lam_d))
+    return np.minimum(fw, np.where(feasible, dual, np.inf))
+
+
+def _rotated_map(wk, iu, ju, scale, g):
     # (..., S, d*d - 1): entry (s, k) is Tr(Pi_s U B_k U^H) = <w_s|B_k|w_s>,
     # w_s = U^H v_s the rows of wk, for the Hermitian B_k: (E_ij + E_ji)/sqrt2
-    # and i(E_ji - E_ij)/sqrt2 for the pairs i < j, then diag(g_k) for the
-    # columns g_k of g
+    # and i(E_ji - E_ij)/sqrt2 for the pairs i < j, each times its entry of
+    # scale (..., 1, pairs), then diag(g_k) for the columns g_k of g
     z = wk[..., iu]
     np.conjugate(z, out=z)
     z *= wk[..., ju]
-    a = np.concatenate([z.real, z.imag, (wk.real**2 + wk.imag**2) @ g], axis=-1)
-    a[..., : 2 * iu.size] *= np.sqrt(2.0)
-    return a
+    z *= np.sqrt(2.0) * scale
+    return np.concatenate([z.real, z.imag, (wk.real**2 + wk.imag**2) @ g], axis=-1)
 
 
-# certified stop of the MLE: Frank-Wolfe gap <= MLE_TOL per count
+# certified stop of the MLE: the certificate (see _certificate) <= MLE_TOL per count
 MLE_TOL = 1e-9
 # fraction of the Newton decrement a line-search step must gain (Armijo),
 # and the halvings of the step tried before a record stays put for a step
@@ -518,9 +595,17 @@ def mle_reconstruct(rec, max_iter=200):
     tried.
 
     ``gap`` bounds the shortfall: max log L - log_likelihood <= gap. It is
-    the Frank-Wolfe gap lambda_max(G) - Tr(rho G) of the likelihood gradient
-    G at the last iterate, a bound because log L is concave, plus a bound
-    on the rounding error of the computed log L. The solver
+    the smaller of two bounds at the last iterate, each plus a bound on the
+    rounding of its own terms and of the computed log L. One is the
+    Frank-Wolfe gap lambda_max(G) - Tr(rho G) of the likelihood gradient G,
+    a bound because log L is concave. The other is a dual gap from weak
+    (Fenchel) duality, lambda_max(G') - Tr(rho G) - sum_s c_s
+    log1p(q_s delta_s / c_s) with G' = G + sum_s delta_s Pi_s, where delta
+    (from the least-squares map, clipped at 0 on zero counts) cancels G on
+    the face of rho: it is second order in the error of G there, where the
+    Frank-Wolfe gap is first order, so a record near its maximum need not
+    take one more step to prove it. A start is tested by the Frank-Wolfe gap
+    alone, so a closed-form start costs no eigenvectors. The solver
     stops with ``converged=True`` at gap <= MLE_TOL * N, with the fixed
     tolerance MLE_TOL = 1e-9 (a log-likelihood tolerance per count, so it
     does not depend on the flux); ``converged`` is False when ``max_iter``
@@ -577,19 +662,32 @@ def _mle_batch(recs, max_iter=200):
     start[~ok], rank[~ok] = np.eye(d) / d, d
     definite &= ok
     order = np.argsort(~definite, kind="stable")
-    # a closed-form start still in place is the maximum over a superset of
-    # the states, so projected linear inversion cannot beat it
+    # projected linear inversion is tried on informationally complete
+    # settings, except where a closed-form start is still in place: that is
+    # the maximum over a superset of the states, so it cannot be beaten
     at_max = definite & (maps.zset is not None) & np.all(counts > 0, axis=-1)
+    tried = (maps.rank == d * d) & counts.any(axis=-1)
     results = [None] * len(recs)
     for lo in range(0, len(recs), _BATCH):
         idx = order[lo : lo + _BATCH]
         rho, q, gap, iterations, converged = _newton(
             maps, counts[idx], flux[idx], start[idx], rank[idx], max_iter
         )
+        lin, ll_lin = np.empty_like(rho), np.full(len(idx), -np.inf)
+        tr = np.flatnonzero(tried[idx] & ~(at_max[idx] & (iterations == 0)))
+        if tr.size:
+            lin[tr] = _project_to_states(ls[idx[tr]])
+            for j, q_lin in zip(tr, _probabilities(maps.pf, lin[tr])):
+                ll_lin[j] = _log_likelihood(q_lin, counts[idx[j]], flux[idx[j]])
         for j, n in enumerate(idx):
-            results[n] = _result(
-                rho[j], q[j], gap[j], recs[n], ls[n], maps, iterations[j], converged[j],
-                project=not (at_max[n] and iterations[j] == 0),
+            ll = _log_likelihood(q[j], counts[n], flux[n])
+            # projected linear inversion, if the solver ended below it; gap
+            # still bounds max log L - ll, as ll only grows
+            if ll < ll_lin[j]:
+                rho[j], ll = lin[j], ll_lin[j]
+            results[n] = ReconstructionResult(
+                rho=rho[j], method="MLE", iterations=int(iterations[j]),
+                log_likelihood=float(ll), converged=bool(converged[j]), gap=float(gap[j]),
             )
     return results
 
@@ -621,29 +719,44 @@ def _closed_form(maps, counts, flux):
 def _newton(maps, counts, flux, rho, rank, max_iter):
     # the Newton rounds of _mle_batch on one chunk, from the starts rho of
     # rank k in the factored chart; returns the last iterates, their q, gaps,
-    # step counts and convergence. rho and rank are the chunk's own copies
+    # step counts and convergence. rho and rank are the chunk's own copies.
+    # The starts are tested by the Frank-Wolfe gap alone, which needs no
+    # eigenvectors; after each step one _frame per live record gives its
+    # certificate and, if it is not certified, its next step
     pf, d = maps.pf, maps.d
     n_total = counts.sum(axis=-1)
+    tol = MLE_TOL * n_total
     q = _probabilities(pf, rho)
     gap = np.zeros(len(counts))
     iterations = np.zeros(len(counts), dtype=int)
     live = np.flatnonzero(n_total > 0)
-    for it in range(max_iter + 1):
-        gap[live] = _fw_gap(pf, d, counts[live], flux[live], q[live])
-        live = live[gap[live] > MLE_TOL * n_total[live]]
-        if it == max_iter or not live.size:
+    gap[live] = _fw_gap(pf, d, counts[live], flux[live], q[live])
+    live = live[gap[live] > tol[live]]
+    # the live records' own arrays, cut down only when a record leaves
+    c, fl, ql, rl, kl = counts[live], flux[live], q[live], rho[live], rank[live]
+    if live.size and max_iter:
+        frame = _frame(maps, c, fl, ql, rl, kl)
+    for it in range(1, max_iter + 1):
+        if not live.size:
             break
-        iterations[live] = it + 1
-        rho[live], rank[live] = _factored_step(
-            maps, counts[live], flux[live], q[live], rho[live], rank[live]
-        )
-        q[live] = _probabilities(pf, rho[live])
-    return rho, q, gap, iterations, gap <= MLE_TOL * n_total
+        iterations[live] = it
+        rl, kl = _factored_step(maps, c, fl, ql, rl, kl, frame)
+        ql = _probabilities(pf, rl)
+        frame = _frame(maps, c, fl, ql, rl, kl)
+        gl = _certificate(maps, c, fl, kl, frame)
+        rho[live], q[live], rank[live], gap[live] = rl, ql, kl, gl
+        more = gl > tol[live]
+        if not more.all():
+            live, c, fl, ql, rl, kl = (v[more] for v in (live, c, fl, ql, rl, kl))
+            frame = _Frame(*(f[more] for f in frame))
+    return rho, q, gap, iterations, gap <= tol
 
 
-def _factored_step(maps, c, fl, ql, rl, k):
-    # one step of each factored record of a stack, from its state rl and rank
-    # k; returns the new states and ranks. The chart: rho = U diag(lam) U^H
+def _factored_step(maps, c, fl, ql, rl, k, frame):
+    # one step of each factored record of a stack, from its state rl, rank k
+    # and _frame; returns the new states and ranks. ql and the frame are the
+    # caller's arrays for this round: a record that drops a column has its
+    # rows of them updated in place. The chart: rho = U diag(lam) U^H
     # cut to its top k eigenvalues, in descending order, is A A^H for
     # A = U B, B = diag(sqrt(lam)), and the step moves A to U (B + t D) and rho
     # to U (B + t D)(B + t D)^H U^H over its trace. D is lower trapezoidal in
@@ -663,17 +776,13 @@ def _factored_step(maps, c, fl, ql, rl, k):
     # small on it, and the step stays Newton's. A setting with c_s = 0 adds
     # only -flux q_s to log L: it has no log term, no curvature and no
     # bound q_s > 0, so each c / q below reads 1 for its q
-    kets, d = maps.kets, maps.d
+    d = maps.d
     iu, ju = maps.pairs
     n_pair, n = iu.size, len(c)
     rows = np.arange(n)
     n_total = c.sum(axis=-1)
     seen = c > 0
-    lam, u = np.linalg.eigh(rl)
-    lam, u = lam[:, ::-1], u[:, :, ::-1]
-    lam = np.where(np.arange(d) < k[:, None], np.maximum(lam, 0.0), 0.0)
-    lam /= lam.sum(axis=-1, keepdims=True)
-    wk = kets @ u.conj()
+    lam, u, wk, qc, w, _, tau, grad_m, mu_g, x = frame
 
     # k - 1 where column k shrank below 1/100 of column k - 1 and adding it
     # back to the state without it, rho0 with probabilities q0, ascends no
@@ -682,20 +791,18 @@ def _factored_step(maps, c, fl, ql, rl, k):
     lk = lam[rows, k - 1]
     qk = np.abs(wk[rows, :, k - 1]) ** 2
     q0 = (ql - lk[:, None] * qk) / np.where(k > 1, 1.0 - lk, 1.0)[:, None]
-    drop = (k > 1) & (lk < 0.01 * lam[rows, k - 2]) & np.all((q0 > 0.0) | ~seen, axis=-1)
+    drop = (k > 1) & (lk < 0.01 * lam[rows, k - 2]) & ((q0 > 0.0) | ~seen).all(axis=-1)
     w0 = c / np.where(drop[:, None] & seen, q0, 1.0) - fl[:, None]
     drop &= np.vecdot(w0, qk - q0) <= 0.0
     k = k - drop
     face = np.arange(d) < k[:, None]
-    lam = np.where(face, lam, 0.0)
-    lam /= lam.sum(axis=-1, keepdims=True)
-    ql = np.where(drop[:, None], q0, ql)
-    qc = np.where(seen, ql, 1.0)
+    if drop.any():  # the frame's fields at the state without the dropped column
+        i = np.flatnonzero(drop)
+        lam[i] = np.where(face[i], lam[i], 0.0)
+        lam[i] /= lam[i].sum(axis=-1, keepdims=True)
+        ql[i] = q0[i]
+        qc[i], w[i], _, tau[i], grad_m[i], mu_g[i], x[i] = _gradient(wk[i], c[i], fl[i], ql[i])
     sq = np.sqrt(lam)
-    w = c / qc - fl[:, None]
-    tau = n_total - fl * ql.sum(axis=-1)
-    grad_m = (wk.mT * w[:, None, :]) @ wk.conj()
-    grad_m = 0.5 * (grad_m + grad_m.conj().mT)
 
     # Householder reflection taking e_0 to sqrt(lam); its columns 1 .. d - 1
     # are orthonormal and orthogonal to sqrt(lam), those from k on are e_j
@@ -704,17 +811,13 @@ def _factored_step(maps, c, fl, ql, rl, k):
     vv = np.vecdot(v, v)
     vv = 2.0 / np.where(vv > 0.0, vv, np.inf)
     hd = (np.eye(d) - v[:, :, None] * v[:, None, :] * vv[:, None, None])[:, :, 1:]
-    a = _rotated_map(wk, iu, ju, 2.0 * sq[:, :, None] * hd)
+    a = _rotated_map(wk, iu, ju, np.sqrt(2.0 * lam[:, None, iu]), 2.0 * sq[:, :, None] * hd)
     # coordinates: real parts of the pairs, imaginary parts, the diagonal
     pre, pim, dia = slice(0, n_pair), slice(n_pair, 2 * n_pair), slice(2 * n_pair, None)
-    scale = np.sqrt(2.0 * lam[:, None, iu])
-    a[..., pre] *= scale
-    a[..., pim] *= scale
     grad = (a.mT @ w[..., None])[..., 0]
     # 2 Re tr(D^H K D), K the positive part of tau I - G, couples only the
     # coordinates of one column of D; those of the columns from k on, held
     # at 0, are coupled to no others, there or in J
-    mu_g, x = np.linalg.eigh(grad_m)
     kp = (x * (2.0 * np.maximum(tau[:, None] - mu_g, 0.0))[:, None, :]) @ x.conj().mT
     kc = kp[:, ju[:, None], ju[None, :]] * (iu[:, None] == iu[None, :])
     kd = kp[:, ju, iu, None] * hd[:, iu, :]
@@ -731,15 +834,15 @@ def _factored_step(maps, c, fl, ql, rl, k):
     hess[:, dia, pre] += kd.real.mT
     hess[:, dia, pim] += kd.imag.mT
     hess[:, dia, dia] += hd.mT @ (kp.diagonal(axis1=1, axis2=2).real[:, :, None] * hd)
-    diag = np.arange(hess.shape[-1])
-    hess[:, diag, diag] += ~active
+    hess.reshape(n, -1)[:, :: hess.shape[-1] + 1] += ~active
     # where the counted settings do not see every direction (settings that
     # are not informationally complete, or a zero count), hess can be
     # singular: the step there is its least-norm solution
-    blind = np.flatnonzero((maps.rank < d * d) | ~np.all(seen, axis=-1))
+    blind = rows if maps.rank < d * d else np.flatnonzero(~seen.all(axis=-1))
     least = [i for i in blind if _ill_conditioned(hess[i])]
-    h_least = hess[least]
-    hess[least] = np.eye(hess.shape[-1])
+    if least:
+        h_least = hess[least]
+        hess[least] = np.eye(hess.shape[-1])
     step = np.linalg.solve(hess, grad[..., None])[..., 0]
     if least:
         step[least] = (np.linalg.pinv(h_least, hermitian=True) @ grad[least, :, None])[..., 0]
@@ -747,7 +850,7 @@ def _factored_step(maps, c, fl, ql, rl, k):
     decrement = np.vecdot(grad, step)
     dm = np.zeros((n, d, d), dtype=complex)
     dm[:, ju, iu] = step[:, pre] + 1j * step[:, pim]
-    dm[:, range(d), range(d)] = (hd @ step[:, dia, None])[..., 0]
+    dm.reshape(n, -1)[:, :: d + 1] = (hd @ step[:, dia, None])[..., 0]
     dq = (a @ step[..., None])[..., 0]
     z = wk @ dm.conj()
     p2 = (z.real**2 + z.imag**2).sum(axis=-1)
@@ -757,10 +860,15 @@ def _factored_step(maps, c, fl, ql, rl, k):
     # tau by more than the Newton step can gain: the mixing step
     # (1 - eps) rho + eps u u^H, with eps from a Newton step in eps (the
     # face's diagonal is set below tau, so u lies off the face)
-    g_off = np.where(~face[:, :, None] & ~face[:, None, :], grad_m, 0.0)
-    g_off[:, range(d), range(d)] += np.where(face, (tau - np.abs(tau) - 1.0)[:, None], 0.0)
-    g, uo = np.linalg.eigh(g_off)
-    slope_off, uo = g[:, -1] - tau, uo[:, :, -1]
+    low = (tau - np.abs(tau) - 1.0)[:, None, None] * np.eye(d)
+    g_off = np.where(~face[:, :, None] & ~face[:, None, :], grad_m, low)
+    # the eigenvector only where g beats tau, a few records in a hundred
+    slope_off = np.linalg.eigvalsh(g_off)[:, -1] - tau
+    uo = np.zeros((n, d), dtype=complex)
+    up = np.flatnonzero(slope_off > 0.0)
+    if up.size:
+        g, vo = np.linalg.eigh(g_off[up])
+        slope_off[up], uo[up] = g[:, -1] - tau[up], vo[:, :, -1]
     z = wk @ uo.conj()[..., None]
     qu = (z.real**2 + z.imag**2)[..., 0]
     curv_off = np.vecdot(c, (qu - ql) ** 2 / qc**2)
@@ -781,7 +889,7 @@ def _factored_step(maps, c, fl, ql, rl, k):
         t = 0.5**j
         num = t * x1[todo] + t * t * x2[todo]
         r = np.where(seen[todo], num / qc[todo], 0.0)
-        ok = np.all(r > -1.0, axis=-1)
+        ok = (r > -1.0).all(axis=-1)
         i = todo[ok]
         tt = t * t * y2[i]
         gain = (
@@ -798,10 +906,11 @@ def _factored_step(maps, c, fl, ql, rl, k):
     s = t_step * eps
     b = np.where(add, np.sqrt(1.0 - s), 1.0)[:, None, None] * sq[:, None, :] * np.eye(d)
     b = b + np.where(add, 0.0, t_step)[:, None, None] * dm
-    b[add, :, k[add]] += np.sqrt(s[add])[:, None] * uo[add]
+    if add.any():
+        b[add, :, k[add]] += np.sqrt(s[add])[:, None] * uo[add]
     a = u @ b
     new = a @ a.conj().mT
-    new /= np.trace(new, axis1=1, axis2=2).real[:, None, None]
+    new /= new.trace(axis1=1, axis2=2).real[:, None, None]
     moved = (t_step > 0.0) | drop
     rl = np.where(moved[:, None, None], 0.5 * (new + new.conj().mT), rl)
     return rl, k + (add & (t_step > 0.0))
